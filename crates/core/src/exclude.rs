@@ -21,7 +21,7 @@ use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{self, EjGeom, SimdLevel};
+use crate::kernels::{self, EjGeom};
 
 /// Configuration for an [`ExcludeJetty`], the paper's `EJ-SxA` naming.
 ///
@@ -191,23 +191,12 @@ impl ExcludeJetty {
     }
 
     /// Flat index of the way holding `tag` in `set`, if any. Scans keys
-    /// only ([`EMPTY_KEY`] can never alias a real tag). The scan is
-    /// branchless — every way is compared and the match selected with a
-    /// conditional move — because the matching way's position is
-    /// data-dependent: an early-exit scan mispredicts on nearly every hit,
-    /// and sets are at most a few ways wide anyway. Tags are unique within
-    /// a set (records only insert after a failed find), so scan order
-    /// cannot change the answer.
+    /// only ([`EMPTY_KEY`] can never alias a real tag), with the same
+    /// way scan the replay kernel runs ([`kernels::find_key_ej`]).
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.config.ways;
-        let keys = &self.keys[base..base + self.config.ways];
-        let mut found = usize::MAX;
-        for (way, &k) in keys.iter().enumerate().rev() {
-            if k >> 1 == tag {
-                found = base + way;
-            }
-        }
-        (found != usize::MAX).then_some(found)
+        let range = self.set_range(set);
+        let base = range.start;
+        kernels::find_key_ej(&self.keys[range], tag).map(|way| base + way)
     }
 
     /// Replays a node's deferred event list through this filter — exactly
@@ -217,27 +206,14 @@ impl ExcludeJetty {
     /// accumulated in registers and charged once per batch, and the key and
     /// stamp arrays staying cache-resident across the whole batch. `node`
     /// only labels the safety panic.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](ExcludeJetty::apply_batch) with an explicit kernel
-    /// level — the differential-test entry point; both levels produce
-    /// identical observable state (pinned by the `simd_equivalence`
-    /// suite).
     ///
     /// The event chunk goes to a single [`kernels::ej_replay`] call
     /// **as-is** — no gather pass, no scratch copy: the kernel splits
     /// each unit address with this filter's [`EjGeom`] as it goes and
     /// fuses the eager probe+record sequence around one lookup per
     /// snoop, tick order preserved exactly.
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
-        let out = self.replay_events(level, events, &[]);
+    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
+        let out = self.replay_events(events, &[]);
         if let Some(bad) = out.unsafe_at {
             let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
                 unreachable!("unsafe_at always indexes a snoop event");
@@ -269,13 +245,11 @@ impl ExcludeJetty {
     /// hybrid labels it with its own name).
     pub(crate) fn replay_events(
         &mut self,
-        level: SimdLevel,
         events: &[crate::FilterEvent],
         ij_filtered: &[bool],
     ) -> kernels::ReplayOut {
         let geom = self.geom();
         let out = kernels::ej_replay(
-            level,
             &mut self.keys,
             &mut self.stamps,
             self.config.ways,
@@ -291,26 +265,6 @@ impl ExcludeJetty {
         self.activity.filtered += out.filtered;
         self.activity.arrays[0].writes += out.writes;
         out
-    }
-
-    /// [`probe`](SnoopFilter::probe) with an explicit kernel level for the
-    /// way scan — used by the hybrid's batched replay so its EJ side rides
-    /// the same dispatch decision. Observably identical to `probe` at
-    /// every level.
-    pub fn probe_with(&mut self, level: SimdLevel, addr: UnitAddr) -> Verdict {
-        self.activity.probes += 1;
-        let (set, tag) = self.split(addr);
-        let base = set * self.config.ways;
-        if let Some(way) = kernels::find_key(level, &self.keys[base..base + self.config.ways], tag)
-        {
-            let slot = base + way;
-            self.stamps[slot] = self.tick();
-            if self.keys[slot] & 1 != 0 {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
     }
 }
 
@@ -351,7 +305,7 @@ impl SnoopFilter for ExcludeJetty {
             self.stamps[slot] = stamp;
         } else {
             let range = self.set_range(set);
-            let victim = range.clone().min_by_key(|&s| self.stamps[s]).expect("ways is nonzero");
+            let victim = range.start + kernels::lru_victim(&self.stamps[range]);
             self.keys[victim] = make_key(tag, true);
             self.stamps[victim] = stamp;
         }

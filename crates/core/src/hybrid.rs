@@ -20,7 +20,6 @@ use crate::addr::{AddrSpace, UnitAddr};
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
 use crate::include::{IncludeConfig, IncludeJetty};
-use crate::kernels::{self, SimdLevel};
 use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 
 /// The exclude-side component of a hybrid: scalar or vectored.
@@ -210,12 +209,6 @@ impl HybridJetty {
     /// structures hot across the batch; `probe` carries the eager-ablation
     /// side effects, so replay goes through it rather than inlining the
     /// components. `node` only labels the safety panic.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](HybridJetty::apply_batch) with an explicit kernel
-    /// level — the differential-test entry point.
     ///
     /// Under the paper's backup policy the **same** event chunk is
     /// replayed by two kernel calls, with no gather pass: the IJ pass
@@ -227,19 +220,14 @@ impl HybridJetty {
     /// filters. The eager-allocation ablation (which mutates the exclude
     /// part mid-run on IJ-filtered snoops) keeps its per-event replay
     /// below.
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
+    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
         if self.config.ej_allocation == EjAllocation::Backup {
             let mut verdicts = std::mem::take(&mut self.scratch_absent);
             // IJ pass: verdicts + counter RMWs. Its unsafe index is
             // ignored — the EJ pass sees the same verdict slice and owns
             // the union safety check.
-            self.include.replay_events(level, events, Some(&mut verdicts));
-            let out = exclude_dispatch!(&mut self.exclude, replay_events(level, events, &verdicts));
+            self.include.replay_events(events, Some(&mut verdicts));
+            let out = exclude_dispatch!(&mut self.exclude, replay_events(events, &verdicts));
             self.scratch_absent = verdicts;
             self.probes += out.probes;
             self.filtered += out.union_filtered;
@@ -267,14 +255,14 @@ impl HybridJetty {
                         units.push(unit.raw());
                         i += 1;
                     }
-                    self.include.probe_many(level, &units, &mut ij_absent);
+                    self.include.probe_many(&units, &mut ij_absent);
                     for (k, &ij_filtered) in ij_absent.iter().enumerate() {
                         let crate::FilterEvent::Snoop { unit, would_hit, scope } = events[run + k]
                         else {
                             unreachable!("gathered run contains only snoop events");
                         };
                         self.probes += 1;
-                        let ej = exclude_dispatch!(&mut self.exclude, probe_with(level, unit));
+                        let ej = exclude_dispatch!(&mut self.exclude, probe(unit));
                         if ij_filtered || ej.is_filtered() {
                             // Same eager-ablation sequence as `probe`, per
                             // event and in order (its p-bit read charges

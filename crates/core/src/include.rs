@@ -21,7 +21,7 @@ use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{self, SimdLevel};
+use crate::kernels;
 
 /// Configuration for an [`IncludeJetty`], the paper's `IJ-ExNxS` naming:
 /// `2^E`-entry sub-arrays, `N` of them, index slices `S` bits apart.
@@ -269,25 +269,15 @@ impl IncludeJetty {
     /// `record_snoop_miss`, so unfiltered misses need no replay work; the
     /// safety assertion fires exactly as in the eager path. `node` only
     /// labels the panic.
+    ///
+    /// The event chunk goes to a single [`kernels::ij_replay`] call
+    /// as-is (no gather pass): snoops test the packed p-bit bitmap,
+    /// allocate/deallocate counter read-modify-writes run in event order
+    /// inside the kernel.
     pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](IncludeJetty::apply_batch) with an explicit kernel
-    /// level — the differential-test entry point. The event chunk goes
-    /// to a single [`kernels::ij_replay`] call as-is (no gather pass):
-    /// snoop runs batch-test the packed p-bit bitmap four units at a
-    /// time, allocate/deallocate counter read-modify-writes run in event
-    /// order inside the kernel.
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
         // Standalone IJ needs no per-event verdicts — only the hybrid's
         // EJ pass consumes them — so skip the recording entirely.
-        let out = self.replay_events(level, events, None);
+        let out = self.replay_events(events, None);
         if let Some(bad) = out.unsafe_at {
             let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
                 unreachable!("unsafe_at always indexes a snoop event");
@@ -310,7 +300,6 @@ impl IncludeJetty {
     /// The caller owns the unsafe-filter panic.
     pub(crate) fn replay_events(
         &mut self,
-        level: SimdLevel,
         events: &[crate::FilterEvent],
         mut verdicts: Option<&mut Vec<bool>>,
     ) -> kernels::IjReplayOut {
@@ -319,7 +308,6 @@ impl IncludeJetty {
         }
         self.scratch_writes.fill(0);
         let out = kernels::ij_replay(
-            level,
             &mut self.counts,
             &mut self.pbits,
             self.config.index_bits,
@@ -343,10 +331,9 @@ impl IncludeJetty {
     /// addresses, appending one absent/present verdict per unit to
     /// `absent` — used by the hybrid's batched replay. Counts probes and
     /// filtered snoops exactly as per-event `probe` calls would.
-    pub fn probe_many(&mut self, level: SimdLevel, units: &[u64], absent: &mut Vec<bool>) {
+    pub fn probe_many(&mut self, units: &[u64], absent: &mut Vec<bool>) {
         let start = absent.len();
         kernels::pbit_test_many(
-            level,
             &self.pbits,
             units,
             self.config.index_bits,

@@ -1,24 +1,125 @@
-//! Portable scalar twins of every SIMD kernel.
+//! Replay kernels for the batched snoop path.
 //!
-//! These are the *reference semantics*: the AVX2 implementations in
-//! [`super::avx2`] must be observation-identical to these loops on every
-//! input (pinned by `tests/simd_equivalence.rs`), and they are what the
-//! dispatcher runs when AVX2 is absent or `JETTY_SIMD=scalar` forces them.
-//! Each is written exactly like the loop it replaced in the filter or L2
-//! code, so forcing scalar dispatch reproduces the pre-kernel binary's
-//! behaviour instruction-for-instruction where it matters (order of
-//! comparisons, lowest-index match selection, early exits).
+//! The chunked runner (ARCHITECTURE §2a) funnels every hot probe loop
+//! through `apply_batch`, which hands each node's whole
+//! [`FilterEvent`] chunk to **one kernel call** — no gather pass, no
+//! scratch copy: the kernel consumes the event array in place, splits
+//! addresses with the filter's [`EjGeom`]/[`VejGeom`] shift/mask
+//! geometry as it goes, and fuses find + probe + record around a single
+//! lookup per snoop. Each kernel is one portable loop written exactly
+//! like the eager filter code it batches (order of comparisons,
+//! lowest-index match selection, early exits), and the EJ/VEJ way scans
+//! are the very functions the filters' own `find` calls, so the eager
+//! and batched paths cannot drift apart.
+//!
+//! # Why the way scans need no empty-way masking
+//!
+//! EJ keys (`tag << 1 | present`) and VEJ tags mark never-used ways with
+//! the all-ones sentinel (`u64::MAX`). Real tags are bounded by the
+//! address space (at most ~34 bits), so a sentinel can never compare
+//! equal to a probe tag. Likewise IJ's packed p-bit bitmap and the L2
+//! hot-record array are plain dense arrays indexed by masked address
+//! bits, so every index stays in bounds by construction — asserted once
+//! per call in the entry points below, which are the kernels' input
+//! checks.
 
-use super::{EjGeom, IjReplayOut, ReplayOut, VejGeom};
+// Kernel signatures pass the filter geometry as flat scalars (shifts,
+// masks, widths) rather than bundling them into structs: the arguments
+// mirror the paper's array parameters one-to-one and keep the hot call
+// ABI register-only.
+#![allow(clippy::too_many_arguments)]
+
 use crate::filter::{FilterEvent, MissScope};
 
-/// Lowest way index in `keys` whose Exclude-Jetty key matches `tag`
-/// (`key >> 1 == tag`; the all-ones empty key can never match a real tag).
+/// Address-split geometry of an Exclude-Jetty, precomputed so the
+/// replay kernel can turn a raw unit address into (set, tag) with two
+/// shifts and a mask — no per-event method calls back into the filter.
+#[derive(Clone, Copy, Debug)]
+pub struct EjGeom {
+    /// Right-shift turning a raw unit address into a block address.
+    pub block_shift: u32,
+    /// `sets - 1`: the set-index mask applied to the block address.
+    pub set_mask: u64,
+    /// `log2(sets)`: the tag shift.
+    pub set_bits: u32,
+}
+
+/// Address-split geometry of a Vector-Exclude-Jetty: like [`EjGeom`]
+/// with a present-vector lane peeled off the block address first.
+#[derive(Clone, Copy, Debug)]
+pub struct VejGeom {
+    /// Right-shift turning a raw unit address into a block address.
+    pub block_shift: u32,
+    /// `vector_len - 1`: the lane mask applied to the block address.
+    pub lane_mask: u64,
+    /// `log2(vector_len)`: the chunk shift.
+    pub lane_bits: u32,
+    /// `sets - 1`: the set-index mask applied to the chunk address.
+    pub set_mask: u64,
+    /// `log2(sets)`: the tag shift.
+    pub set_bits: u32,
+}
+
+/// Result of replaying one event chunk through an EJ/VEJ kernel.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplayOut {
+    /// Snoop events in the chunk (uniform tag-read probe charges).
+    pub probes: u64,
+    /// Allocate events in the chunk (uniform tag-read charges).
+    pub allocates: u64,
+    /// Snoops this component itself answered `NotCached`.
+    pub filtered: u64,
+    /// Snoops filtered by this component *or* by the paired IJ verdict
+    /// slice — the hybrid's union verdict count. Equals `filtered` for
+    /// standalone replays.
+    pub union_filtered: u64,
+    /// Block records inserted or refreshed.
+    pub records: u64,
+    /// Tag-array writes caused by allocate events clearing a present
+    /// bit/lane.
+    pub writes: u64,
+    /// The LRU clock after the chunk.
+    pub clock: u64,
+    /// Index (into the event chunk) of the first snoop whose union
+    /// verdict filtered a `would_hit` event — an unsafe-filter bug the
+    /// caller must turn into the standard panic (the kernel stops
+    /// there, exactly where the eager path would have panicked).
+    pub unsafe_at: Option<usize>,
+}
+
+/// Result of replaying one event chunk through the IJ kernel.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IjReplayOut {
+    /// Snoop events in the chunk (uniform p-bit-read probe charges).
+    pub probes: u64,
+    /// Allocate events in the chunk (uniform counter-RMW charges).
+    pub allocates: u64,
+    /// Deallocate events in the chunk (uniform counter-RMW charges).
+    pub deallocates: u64,
+    /// Snoops the Include-Jetty answered `NotCached` (each also pushed
+    /// as `true` into the verdict vector).
+    pub filtered: u64,
+    /// Index of the first snoop that filtered a `would_hit` event. The
+    /// kernel keeps going (the hybrid's EJ/VEJ pass is the panic
+    /// authority and must see every verdict); a standalone IJ replay
+    /// panics on it after the call, and any state mutated past that
+    /// point is unobservable behind the panic.
+    pub unsafe_at: Option<usize>,
+}
+
+/// Lowest way index in one Exclude-Jetty set window `keys` whose key
+/// matches `tag` (`key >> 1 == tag`; the all-ones empty key can never
+/// match a real tag). Shared by `ExcludeJetty`'s eager find and
+/// [`ej_replay`].
 ///
-/// The branchless reverse scan keeps the lowest-index match, exactly like
-/// the historical `ExcludeJetty::find` loop.
+/// The scan is branchless — every way is compared and the match
+/// selected with a conditional move — because the matching way's
+/// position is data-dependent: an early-exit scan mispredicts on nearly
+/// every hit, and sets are at most a few ways wide anyway. Tags are
+/// unique within a set (records only insert after a failed find), so
+/// scan order cannot change the answer.
 #[inline]
-pub(super) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
+pub(crate) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
     let mut found = usize::MAX;
     for (way, &k) in keys.iter().enumerate().rev() {
         if k >> 1 == tag {
@@ -28,10 +129,12 @@ pub(super) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
     (found != usize::MAX).then_some(found)
 }
 
-/// Lowest way index in `tags` equal to `tag` (Vector-Exclude-Jetty find;
-/// the all-ones empty tag can never match a real chunk tag).
+/// Lowest way index in one Vector-Exclude-Jetty set window `tags` equal
+/// to `tag` (the all-ones empty tag can never match a real chunk tag).
+/// Shared by `VectorExcludeJetty`'s eager find and [`vej_replay`];
+/// branchless for the same reason as [`find_key_ej`].
 #[inline]
-pub(super) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
+pub(crate) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
     let mut found = usize::MAX;
     for (way, &t) in tags.iter().enumerate().rev() {
         if t == tag {
@@ -42,15 +145,29 @@ pub(super) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
 }
 
 /// Replays one [`FilterEvent`] chunk against an Exclude-Jetty's flat
-/// `keys`/`stamps` arrays — the reference loop the AVX2 twin must match.
-/// Per snoop: split the unit address with `geom` (two shifts + a mask),
-/// find the way (lowest match), stamp the LRU clock on a hit, count the
-/// filtered/union-filtered snoop (stopping at the first unsafe one,
-/// where the eager path would have panicked), set the present bit or
-/// insert via a first-minimum victim scan on recordable misses that
-/// nothing filtered. Per allocate: find + clear the present bit. A
-/// deallocate never changes EJ state.
-pub(super) fn ej_replay(
+/// `keys`/`stamps` arrays, splitting each unit address with `geom` as
+/// it goes — bit-for-bit the logic of the eager probe + record
+/// sequence. Per snoop: find the way (lowest match), stamp the LRU
+/// clock on a hit, count the filtered/union-filtered snoop (stopping at
+/// the first unsafe one, where the eager path would have panicked), set
+/// the present bit or insert via a first-minimum victim scan on
+/// recordable misses that nothing filtered. Per allocate: find + clear
+/// the present bit (counted in [`ReplayOut::writes`]). A deallocate
+/// never changes EJ state.
+///
+/// `ij_filtered` is the hybrid's IJ verdict slice, parallel to
+/// `events` (one `bool` per event, `true` only for IJ-filtered
+/// snoops); pass an empty slice for a standalone replay. An
+/// IJ-filtered snoop is treated as already filtered: it cannot record,
+/// and it counts toward [`ReplayOut::union_filtered`] and the
+/// unsafe-filter check.
+///
+/// # Panics
+///
+/// Panics if `ways` is zero, the arrays' lengths differ from
+/// `sets * ways` per `geom`, or `ij_filtered` is neither empty nor
+/// parallel to `events`.
+pub fn ej_replay(
     keys: &mut [u64],
     stamps: &mut [u64],
     ways: usize,
@@ -59,6 +176,17 @@ pub(super) fn ej_replay(
     events: &[FilterEvent],
     ij_filtered: &[bool],
 ) -> ReplayOut {
+    assert!(ways > 0, "EJ replay needs a nonzero associativity");
+    assert_eq!(keys.len(), stamps.len(), "EJ keys and stamps must be parallel");
+    assert_eq!(
+        keys.len(),
+        (geom.set_mask as usize + 1) * ways,
+        "EJ arrays must hold sets * ways entries"
+    );
+    assert!(
+        ij_filtered.is_empty() || ij_filtered.len() == events.len(),
+        "IJ verdict slice must be empty or parallel to the event chunk"
+    );
     let mut out = ReplayOut { clock, ..ReplayOut::default() };
     for (i, e) in events.iter().enumerate() {
         match *e {
@@ -87,15 +215,7 @@ pub(super) fn ej_replay(
                 } else if recordable {
                     out.records += 1;
                     out.clock += 1;
-                    // First-minimum scan == `min_by_key` over the set.
-                    let mut victim = 0;
-                    let mut oldest = stamps[0];
-                    for (w, &st) in stamps.iter().enumerate().skip(1) {
-                        if st < oldest {
-                            oldest = st;
-                            victim = w;
-                        }
-                    }
+                    let victim = lru_victim(stamps);
                     keys[victim] = tag << 1 | 1;
                     stamps[victim] = out.clock;
                 }
@@ -127,10 +247,16 @@ pub(super) fn ej_replay(
 }
 
 /// Replays one [`FilterEvent`] chunk against a Vector-Exclude-Jetty's
-/// flat `tags`/`vectors`/`stamps` arrays (the [`ej_replay`] logic with a
-/// present-vector lane test in place of the present bit; `geom` peels
-/// the lane off the block address first).
-pub(super) fn vej_replay(
+/// flat `tags`/`vectors`/`stamps` arrays (the [`ej_replay`] logic with
+/// a present-vector lane test in place of the present bit; `geom`
+/// additionally peels the lane off the block address).
+///
+/// # Panics
+///
+/// Panics if `ways` is zero, the arrays' lengths differ from
+/// `sets * ways` per `geom`, or `ij_filtered` is neither empty nor
+/// parallel to `events`.
+pub fn vej_replay(
     tags: &mut [u64],
     vectors: &mut [u64],
     stamps: &mut [u64],
@@ -140,6 +266,18 @@ pub(super) fn vej_replay(
     events: &[FilterEvent],
     ij_filtered: &[bool],
 ) -> ReplayOut {
+    assert!(ways > 0, "VEJ replay needs a nonzero associativity");
+    assert_eq!(tags.len(), vectors.len(), "VEJ tags and vectors must be parallel");
+    assert_eq!(tags.len(), stamps.len(), "VEJ tags and stamps must be parallel");
+    assert_eq!(
+        tags.len(),
+        (geom.set_mask as usize + 1) * ways,
+        "VEJ arrays must hold sets * ways entries"
+    );
+    assert!(
+        ij_filtered.is_empty() || ij_filtered.len() == events.len(),
+        "IJ verdict slice must be empty or parallel to the event chunk"
+    );
     let mut out = ReplayOut { clock, ..ReplayOut::default() };
     for (i, e) in events.iter().enumerate() {
         match *e {
@@ -171,15 +309,7 @@ pub(super) fn vej_replay(
                 } else if recordable {
                     out.records += 1;
                     out.clock += 1;
-                    // First-minimum scan == `min_by_key` over the set.
-                    let mut victim = 0;
-                    let mut oldest = stamps[0];
-                    for (w, &st) in stamps.iter().enumerate().skip(1) {
-                        if st < oldest {
-                            oldest = st;
-                            victim = w;
-                        }
-                    }
+                    let victim = lru_victim(stamps);
                     tags[victim] = tag;
                     vectors[victim] = bit;
                     stamps[victim] = out.clock;
@@ -214,6 +344,22 @@ pub(super) fn vej_replay(
     out
 }
 
+/// Way index of the least recently stamped entry in one set's LRU
+/// `stamps` (the first minimum). Shared by the EJ/VEJ replay kernels and
+/// the filters' eager `record_snoop_miss`.
+#[inline]
+pub(crate) fn lru_victim(stamps: &[u64]) -> usize {
+    let mut victim = 0;
+    let mut oldest = stamps[0];
+    for (w, &st) in stamps.iter().enumerate().skip(1) {
+        if st < oldest {
+            oldest = st;
+            victim = w;
+        }
+    }
+    victim
+}
+
 /// `true` when any of the `sub_arrays` Include-Jetty p-bits selected by
 /// `unit` is clear (the unit is guaranteed absent). Sub-array `i` is
 /// indexed by bits `[i*skip, i*skip + index_bits)` of the unit address;
@@ -222,13 +368,7 @@ pub(super) fn vej_replay(
 /// `IncludeJetty::probe`; the observable outcome (and the uniform energy
 /// charge derived from probe counts) is identical either way.
 #[inline]
-pub(super) fn pbit_absent(
-    pbits: &[u64],
-    unit: u64,
-    index_bits: u32,
-    sub_arrays: u32,
-    skip: u32,
-) -> bool {
+fn pbit_absent(pbits: &[u64], unit: u64, index_bits: u32, sub_arrays: u32, skip: u32) -> bool {
     let mask = (1u64 << index_bits) - 1;
     for i in 0..sub_arrays {
         let lo = i * skip;
@@ -245,7 +385,7 @@ pub(super) fn pbit_absent(
 /// read-modify-write plus the data-dependent p-bit `0 -> 1` transition,
 /// counted into `pbit_writes[sub_array]`. Identical sequence (including
 /// the saturation assert) to `IncludeJetty::on_allocate`.
-pub(super) fn ij_allocate(
+fn ij_allocate(
     counts: &mut [u16],
     pbits: &mut [u64],
     index_bits: u32,
@@ -277,7 +417,7 @@ pub(super) fn ij_allocate(
 /// One Include-Jetty deallocate: the [`ij_allocate`] sequence in reverse
 /// (counter decrement, p-bit `1 -> 0` on the last departure), with the
 /// same underflow assert as `IncludeJetty::on_deallocate`.
-pub(super) fn ij_deallocate(
+fn ij_deallocate(
     counts: &mut [u16],
     pbits: &mut [u64],
     index_bits: u32,
@@ -306,17 +446,30 @@ pub(super) fn ij_deallocate(
 }
 
 /// Replays one [`FilterEvent`] chunk against an Include-Jetty's
-/// `counts`/`pbits` arrays. Snoops are pure p-bit tests; with
-/// `verdicts: Some`, the absent verdict is pushed per event (the
-/// hybrid's EJ pass consumes it; non-snoop events push `false` to keep
-/// the vector parallel), while standalone callers pass `None` and skip
-/// the bookkeeping. Allocates/deallocates run the counter
-/// read-modify-writes in event order. Unlike the EJ/VEJ replays this
-/// does **not** stop at the first unsafe filter — the hybrid needs
-/// every snoop's verdict regardless (its EJ pass is the panic
-/// authority), and for a standalone IJ the caller panics right after
-/// the call, so the extra post-panic state is unobservable.
-pub(super) fn ij_replay(
+/// `counts`/`pbits` arrays. Snoops are pure p-bit tests;
+/// allocates/deallocates perform the counter read-modify-writes in
+/// event order, accumulating the data-dependent p-bit writes per
+/// sub-array into `pbit_writes`. When `verdicts` is `Some`, one verdict
+/// per event is appended (`true` only for IJ-filtered snoops; non-snoop
+/// events push `false`), keeping it parallel to `events` for the
+/// hybrid's EJ/VEJ pass; standalone callers pass `None` and skip
+/// verdict recording entirely (the counters and `unsafe_at` carry
+/// everything a lone IJ needs).
+///
+/// Unlike the EJ/VEJ replays this does **not** stop at the first unsafe
+/// filter — the hybrid needs every snoop's verdict regardless (its EJ
+/// pass is the panic authority), and for a standalone IJ the caller
+/// panics right after the call, so the extra post-panic state is
+/// unobservable.
+///
+/// # Panics
+///
+/// Panics unless `sub_arrays >= 1`, `index_bits < 32`, `counts` holds
+/// exactly `sub_arrays << index_bits` entries covered by `pbits`, and
+/// `pbit_writes` has one slot per sub-array. Also panics on counter
+/// saturation/underflow, exactly like the eager allocate/deallocate
+/// paths.
+pub fn ij_replay(
     counts: &mut [u16],
     pbits: &mut [u64],
     index_bits: u32,
@@ -326,6 +479,18 @@ pub(super) fn ij_replay(
     verdicts: Option<&mut Vec<bool>>,
     pbit_writes: &mut [u64],
 ) -> IjReplayOut {
+    assert!(sub_arrays >= 1, "IJ needs at least one sub-array");
+    assert!(index_bits < 32, "IJ index width out of range");
+    assert_eq!(
+        counts.len(),
+        (sub_arrays as usize) << index_bits,
+        "IJ counts must hold sub_arrays << index_bits entries"
+    );
+    assert!(
+        pbits.len() * 64 >= counts.len(),
+        "p-bit bitmap too small for {sub_arrays} sub-arrays of 2^{index_bits} entries"
+    );
+    assert_eq!(pbit_writes.len(), sub_arrays as usize, "one p-bit write counter per sub-array");
     match verdicts {
         Some(v) => ij_replay_impl::<true>(
             counts,
@@ -397,8 +562,18 @@ fn ij_replay_impl<const RECORD: bool>(
     out
 }
 
-/// Batch twin of [`pbit_absent`] over a run of snoop unit addresses.
-pub(super) fn pbit_test_many(
+/// Batch-tests IJ's packed p-bit bitmap for a run of snoop unit
+/// addresses, appending one `bool` per unit to `absent` (`true` = some
+/// selected p-bit is clear, i.e. the unit is guaranteed absent).
+/// Sub-array `i` is indexed by bits `[i*skip, i*skip + index_bits)` of
+/// the unit; its entry `idx` lives at packed bit `(i << index_bits) |
+/// idx` of `pbits`.
+///
+/// # Panics
+///
+/// Panics unless `sub_arrays >= 1`, `index_bits < 32`, and `pbits`
+/// holds all `sub_arrays << index_bits` bits.
+pub fn pbit_test_many(
     pbits: &[u64],
     units: &[u64],
     index_bits: u32,
@@ -406,6 +581,12 @@ pub(super) fn pbit_test_many(
     skip: u32,
     absent: &mut Vec<bool>,
 ) {
+    assert!(sub_arrays >= 1, "IJ needs at least one sub-array");
+    assert!(index_bits < 32, "IJ index width out of range");
+    assert!(
+        pbits.len() * 64 >= (sub_arrays as usize) << index_bits,
+        "p-bit bitmap too small for {sub_arrays} sub-arrays of 2^{index_bits} entries"
+    );
     for &u in units {
         absent.push(pbit_absent(pbits, u, index_bits, sub_arrays, skip));
     }
@@ -422,11 +603,11 @@ pub const L2_SUB_VALID: u8 = 2;
 /// (bit `sub` ⇔ subblock `sub` valid).
 pub const L2_META_VALID_MASK: u64 = 0xFF;
 
-/// One scalar L2 snoop probe over the compacted hot array — one 16-byte
+/// One L2 snoop probe over the compacted hot array — one 16-byte
 /// record load (tag in the low half, valid mask + packed states in the
 /// high half) instead of two separate array reads.
 #[inline]
-pub(super) fn l2_probe(hot: &[u128], unit: u64, sub_bits: u32, index_bits: u32) -> u8 {
+fn l2_probe(hot: &[u128], unit: u64, sub_bits: u32, index_bits: u32) -> u8 {
     let sub = unit & ((1u64 << sub_bits) - 1);
     let block_addr = unit >> sub_bits;
     let idx = (block_addr & ((1u64 << index_bits) - 1)) as usize;
@@ -444,14 +625,28 @@ pub(super) fn l2_probe(hot: &[u128], unit: u64, sub_bits: u32, index_bits: u32) 
     flags
 }
 
-/// Batch twin of [`l2_probe`] over a run of snoop unit addresses.
-pub(super) fn l2_probe_many(
+/// Batch L2 snoop probe over the compacted hot array (one `u128` record
+/// per set: tag in the low 64 bits, valid mask + packed state nibbles
+/// in the high 64), appending one flag byte per unit to `out`
+/// ([`L2_BLOCK_PRESENT`] / [`L2_SUB_VALID`]). One 16-byte record load
+/// answers both snoop questions, so a probe touches a single cache
+/// line instead of two separate arrays.
+///
+/// # Panics
+///
+/// Panics unless `sub_bits <= 3` (the valid mask is the low 8 bits of
+/// the record's meta half), `index_bits < 48`, and `hot` holds
+/// `1 << index_bits` records.
+pub fn snoop_probe_many(
     hot: &[u128],
     units: &[u64],
     sub_bits: u32,
     index_bits: u32,
     out: &mut Vec<u8>,
 ) {
+    assert!(sub_bits <= 3, "valid mask is eight bits of the hot record's meta half");
+    assert!(index_bits < 48, "L2 index width out of range");
+    assert!(hot.len() >= 1usize << index_bits, "L2 hot array smaller than the index space");
     for &u in units {
         out.push(l2_probe(hot, u, sub_bits, index_bits));
     }

@@ -50,14 +50,7 @@
 //! the filter's own consumption is charged against its savings, exactly as
 //! in the paper's §4.4.
 
-// `unsafe` is denied crate-wide and allowed back in exactly one place:
-// the SIMD kernel layer (`kernels/`), where every unsafe block carries a
-// SAFETY comment and the AVX2 entry points are guarded by a runtime
-// capability token. `deny` rather than `forbid` so that narrow
-// module-level opt-in stays possible while everything else keeps the
-// seed's no-unsafe guarantee.
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

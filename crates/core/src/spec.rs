@@ -352,28 +352,16 @@ impl AnyFilter {
     /// loop: one filter's arrays stay cache-resident across thousands of
     /// events instead of a whole bank thrashing per snoop, which is the
     /// point of batching. `node` only labels the filter-safety panic.
+    /// The null filter has no kernel path (its replay is a counter
+    /// bump).
     #[inline]
     pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(crate::kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](AnyFilter::apply_batch) with an explicit kernel
-    /// level, for differential tests that pin the scalar and AVX2 replay
-    /// kernels against each other on the same event stream. The null
-    /// filter has no kernel path (its replay is a counter bump).
-    #[inline]
-    pub fn apply_batch_with(
-        &mut self,
-        level: crate::kernels::SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
         match self {
             AnyFilter::Null(inner) => inner.apply_batch(events),
-            AnyFilter::Exclude(inner) => inner.apply_batch_with(level, events, node),
-            AnyFilter::VectorExclude(inner) => inner.apply_batch_with(level, events, node),
-            AnyFilter::Include(inner) => inner.apply_batch_with(level, events, node),
-            AnyFilter::Hybrid(inner) => inner.apply_batch_with(level, events, node),
+            AnyFilter::Exclude(inner) => inner.apply_batch(events, node),
+            AnyFilter::VectorExclude(inner) => inner.apply_batch(events, node),
+            AnyFilter::Include(inner) => inner.apply_batch(events, node),
+            AnyFilter::Hybrid(inner) => inner.apply_batch(events, node),
         }
     }
 }

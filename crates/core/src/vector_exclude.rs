@@ -19,7 +19,7 @@ use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{self, SimdLevel, VejGeom};
+use crate::kernels::{self, VejGeom};
 
 /// Configuration for a [`VectorExcludeJetty`], the paper's `VEJ-SxA-V`
 /// naming.
@@ -194,19 +194,12 @@ impl VectorExcludeJetty {
     }
 
     /// Flat index of the way holding `tag` in `set`, if any. Scans tags
-    /// only ([`EMPTY_TAG`] can never alias a real chunk tag). Branchless
-    /// for the same reason as [`ExcludeJetty`]'s find: the matching way is
-    /// data-dependent, so compare-and-select beats an early-exit scan.
+    /// only ([`EMPTY_TAG`] can never alias a real chunk tag), with the
+    /// same way scan the replay kernel runs ([`kernels::find_key_vej`]).
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.config.ways;
-        let tags = &self.tags[base..base + self.config.ways];
-        let mut found = usize::MAX;
-        for (way, &t) in tags.iter().enumerate().rev() {
-            if t == tag {
-                found = base + way;
-            }
-        }
-        (found != usize::MAX).then_some(found)
+        let range = self.set_range(set);
+        let base = range.start;
+        kernels::find_key_vej(&self.tags[range], tag).map(|way| base + way)
     }
 
     /// Replays a node's deferred event list through this filter — exactly
@@ -215,23 +208,12 @@ impl VectorExcludeJetty {
     /// with counters accumulated in registers and the tag/vector/stamp
     /// arrays cache-resident across the batch. `node` only labels the
     /// safety panic.
+    ///
+    /// The event chunk goes to a single [`kernels::vej_replay`] call
+    /// as-is (no gather pass; the kernel splits each address with this
+    /// filter's [`VejGeom`]).
     pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](VectorExcludeJetty::apply_batch) with an explicit
-    /// kernel level — the differential-test entry point. The event chunk
-    /// goes to a single [`kernels::vej_replay`] call as-is (no gather
-    /// pass; the kernel splits each address with this filter's
-    /// [`VejGeom`]); see
-    /// [`ExcludeJetty::apply_batch_with`](crate::ExcludeJetty::apply_batch_with).
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
-        let out = self.replay_events(level, events, &[]);
+        let out = self.replay_events(events, &[]);
         if let Some(bad) = out.unsafe_at {
             let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
                 unreachable!("unsafe_at always indexes a snoop event");
@@ -261,13 +243,11 @@ impl VectorExcludeJetty {
     /// owns the unsafe-filter panic).
     pub(crate) fn replay_events(
         &mut self,
-        level: SimdLevel,
         events: &[crate::FilterEvent],
         ij_filtered: &[bool],
     ) -> kernels::ReplayOut {
         let geom = self.geom();
         let out = kernels::vej_replay(
-            level,
             &mut self.tags,
             &mut self.vectors,
             &mut self.stamps,
@@ -284,25 +264,6 @@ impl VectorExcludeJetty {
         self.activity.filtered += out.filtered;
         self.activity.arrays[0].writes += out.writes;
         out
-    }
-
-    /// [`probe`](SnoopFilter::probe) with an explicit kernel level for the
-    /// way scan — used by the hybrid's batched replay. Observably
-    /// identical to `probe` at every level.
-    pub fn probe_with(&mut self, level: SimdLevel, addr: UnitAddr) -> Verdict {
-        self.activity.probes += 1;
-        let (set, tag, lane) = self.split(addr);
-        let base = set * self.config.ways;
-        if let Some(way) = kernels::find_tag(level, &self.tags[base..base + self.config.ways], tag)
-        {
-            let slot = base + way;
-            self.stamps[slot] = self.tick();
-            if self.vectors[slot] & (1u64 << lane) != 0 {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
     }
 }
 
@@ -337,7 +298,7 @@ impl SnoopFilter for VectorExcludeJetty {
             self.stamps[slot] = stamp;
         } else {
             let range = self.set_range(set);
-            let victim = range.clone().min_by_key(|&s| self.stamps[s]).expect("ways is nonzero");
+            let victim = range.start + kernels::lru_victim(&self.stamps[range]);
             self.tags[victim] = tag;
             self.vectors[victim] = 1u64 << lane;
             self.stamps[victim] = stamp;

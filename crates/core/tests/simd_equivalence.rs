@@ -1,18 +1,17 @@
-//! AVX2-vs-scalar kernel equivalence: every filter's batched replay must
-//! be observation-identical under [`SimdLevel::SCALAR`] and the AVX2
-//! level — same verdicts, same activity counters, same internal state
-//! (observed through post-replay probes). This is the SIMD sibling of
-//! `jetty-sim`'s `batch_equivalence` suite: that one pins batched replay
-//! against the eager path, this one pins the two kernel implementations
-//! against each other with proptest-generated event logs.
+//! Kernel-vs-eager equivalence inside `jetty-core`: replaying an event log
+//! through a filter's batched kernel ([`AnyFilter::apply_batch`]) must be
+//! observation-identical to driving the same events one at a time through
+//! the [`SnoopFilter`] calls the substrate makes eagerly — same activity
+//! counters and same internal state (observed through post-replay probes).
+//! `jetty-sim`'s `batch_equivalence` suite checks the same property end to
+//! end through the simulator; this one feeds proptest-generated event logs
+//! straight to the filters, so geometries and eviction patterns the
+//! simulator rarely produces still reach the kernels' way scans.
 //!
-//! On hosts without AVX2 every case degenerates to scalar-vs-scalar and
-//! the suite prints a skip note (the scalar path is still the one the
-//! host would run, so there is nothing else to compare).
+//! [`AnyFilter::apply_batch`]: jetty_core::AnyFilter::apply_batch
 
 use std::collections::BTreeSet;
 
-use jetty_core::kernels::SimdLevel;
 use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr};
 use proptest::prelude::*;
 
@@ -63,61 +62,70 @@ fn build_events(actions: &[Action], space: AddrSpace, units: u64) -> Vec<FilterE
     events
 }
 
-/// Replays `events` through two fresh instances of `spec` — one per
-/// kernel level — in `chunk_len`-sized batches, then asserts the
-/// observables agree: accumulated activity (probes, filtered, per-array
-/// reads/writes) and the verdict of a probe sweep over the whole unit
-/// range (which observes the EJ/VEJ/IJ state the replay left behind).
-fn assert_levels_agree(spec: &FilterSpec, actions: &[Action], chunk_len: usize, units: u64) {
-    let Some(avx2) = SimdLevel::avx2() else {
-        eprintln!("note: AVX2 unavailable; SIMD equivalence degenerates to scalar-vs-scalar");
-        return;
-    };
+/// Drives one event through the eager [`SnoopFilter`] calls, in the order
+/// the substrate makes them: a snoop probes, and an unfiltered snoop that
+/// misses the L2 is recorded with its proven scope.
+fn apply_eager(filter: &mut impl SnoopFilter, event: FilterEvent) {
+    match event {
+        FilterEvent::Snoop { unit, would_hit, scope } => {
+            let verdict = filter.probe(unit);
+            assert!(!(verdict.is_filtered() && would_hit), "filtered a snoop to cached {unit}");
+            if !verdict.is_filtered() && !would_hit {
+                filter.record_snoop_miss(unit, scope);
+            }
+        }
+        FilterEvent::Allocate(unit) => filter.on_allocate(unit),
+        FilterEvent::Deallocate(unit) => filter.on_deallocate(unit),
+    }
+}
+
+/// Replays `events` through two fresh instances of `spec` — one through
+/// the batched kernel in `chunk_len`-sized chunks, one event by event —
+/// then asserts the observables agree: accumulated activity (probes,
+/// filtered, per-array reads/writes) and the verdict of a probe sweep over
+/// the whole unit range (which observes the EJ/VEJ/IJ state the replay
+/// left behind).
+fn assert_batched_matches_eager(
+    spec: &FilterSpec,
+    actions: &[Action],
+    chunk_len: usize,
+    units: u64,
+) {
     let space = AddrSpace::default();
     let events = build_events(actions, space, units);
-    let mut scalar = spec.build_any(space);
-    let mut vector = spec.build_any(space);
+    let mut batched = spec.build_any(space);
+    let mut eager = spec.build_any(space);
     for chunk in events.chunks(chunk_len.max(1)) {
-        scalar.apply_batch_with(SimdLevel::SCALAR, chunk, 0);
-        vector.apply_batch_with(avx2, chunk, 0);
+        batched.apply_batch(chunk, 0);
+    }
+    for &event in &events {
+        apply_eager(&mut eager, event);
     }
     assert_eq!(
-        scalar.activity(),
-        vector.activity(),
-        "{}: replay activity diverged between kernels",
+        batched.activity(),
+        eager.activity(),
+        "{}: replay activity diverged between batched and eager paths",
         spec.label()
     );
     for unit in 0..units {
         assert_eq!(
-            scalar.probe(UnitAddr::new(unit)),
-            vector.probe(UnitAddr::new(unit)),
+            batched.probe(UnitAddr::new(unit)),
+            eager.probe(UnitAddr::new(unit)),
             "{}: post-replay verdict diverged at unit {unit}",
             spec.label()
         );
     }
     // The probe sweep above mutated both (EJ LRU stamps); activity must
     // still agree afterwards.
-    assert_eq!(scalar.activity(), vector.activity(), "{}: probe-sweep activity", spec.label());
+    assert_eq!(batched.activity(), eager.activity(), "{}: probe-sweep activity", spec.label());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Every configuration the paper evaluates (EJ, VEJ, IJ, hybrids),
-    /// contended traffic, arbitrary batch boundaries.
-    #[test]
-    fn paper_bank_kernels_agree(
-        actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..400),
-        chunk_len in 1usize..96,
-    ) {
-        for spec in FilterSpec::paper_bank() {
-            assert_levels_agree(&spec, &actions, chunk_len, 64);
-        }
-    }
-
-    /// Associativities around the 4-lane width, including sub-4 sets that
-    /// run entirely in the kernels' scalar tails and a 9-way config whose
-    /// windows have both full lanes and a tail.
+    /// Associativities the paper never uses: direct-mapped and sub-4 sets,
+    /// non-power-of-two ways, and a 9-way config — every shape the shared
+    /// way scan must handle.
     #[test]
     fn odd_associativities_exercise_lane_tails(
         actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..300),
@@ -131,7 +139,7 @@ proptest! {
             FilterSpec::vector_exclude(8, 3, 8),
             FilterSpec::vector_exclude(2, 9, 4),
         ] {
-            assert_levels_agree(&spec, &actions, chunk_len, 64);
+            assert_batched_matches_eager(&spec, &actions, chunk_len, 64);
         }
     }
 
@@ -148,7 +156,7 @@ proptest! {
             FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
             FilterSpec::include(6, 5, 6),
         ] {
-            assert_levels_agree(&spec, &actions, chunk_len, 4096);
+            assert_batched_matches_eager(&spec, &actions, chunk_len, 4096);
         }
     }
 }

@@ -189,10 +189,7 @@ fn parse_args() -> Result<Parsed, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
-                cli.scale = v.parse().map_err(|_| format!("bad scale: {v}"))?;
-                if cli.scale <= 0.0 {
-                    return Err("scale must be positive".into());
-                }
+                cli.scale = RunOptions::parse_scale(&v)?;
             }
             "--cpus" => {
                 let v = args.next().ok_or("--cpus needs a value")?;
@@ -534,13 +531,12 @@ fn main() -> ExitCode {
         for t in engine.take_timings() {
             eprintln!(
                 "[timing] suite {}: {:.3}s across {} jobs (gen {:.3}s, sim {:.3}s) \
-                 kernel={} shards={}",
+                 shards={}",
                 t.options.describe(),
                 t.elapsed.as_secs_f64(),
                 t.jobs,
                 t.gen.as_secs_f64(),
                 t.sim.as_secs_f64(),
-                t.kernel,
                 t.shards
             );
         }

@@ -189,11 +189,6 @@ pub struct SuiteTiming {
     /// Time the jobs spent simulating those chunks (summed across jobs;
     /// part of `elapsed`).
     pub sim: Duration,
-    /// Name of the replay-kernel level the suite ran with
-    /// (`"scalar"`/`"avx2"`, from [`jetty_core::kernels::active_level`]) —
-    /// surfaced as the `kernel=` tag in `--timings` so stored timings can
-    /// attribute drift to dispatch changes.
-    pub kernel: &'static str,
     /// Effective intra-run shard count the suite's jobs replayed snoop
     /// work with (after the oversubscription cap against the worker
     /// count) — surfaced as the `shards=` tag in `--timings`.
@@ -571,7 +566,6 @@ impl Engine {
                 }
             }
         }
-        let kernel = jetty_core::kernels::active_level().name();
         let mut log = lock_recover(&self.timings);
         for (suite, ((options, took), split)) in
             suites.iter().zip(&elapsed).zip(&splits).enumerate()
@@ -583,7 +577,6 @@ impl Engine {
                     jobs: profiles.len(),
                     gen: split.gen,
                     sim: split.sim,
-                    kernel,
                     shards,
                 });
             }

@@ -4,11 +4,12 @@
 //! per-suite errors, store retries, deadline cancellation) are only
 //! trustworthy if CI can walk them on demand. This module is the switch:
 //! a comma-separated spec list resolved **once** per process from the
-//! `JETTY_FAULT` environment variable — the same resolve-once-and-log
-//! pattern as the `JETTY_SIMD` kernel dispatcher — compiled in always but
-//! inert when unset. The no-fault cost is one lazily-initialised atomic
-//! load plus an `is_empty()` check per *job* (not per event), which is
-//! unmeasurable next to a simulation job's millions of references.
+//! `JETTY_FAULT` environment variable — the same split as `JETTY_THREADS`
+//! (a pure, unit-testable parser behind an env-reading resolver that
+//! warns on invalid values) — compiled in always but inert when unset.
+//! The no-fault cost is one lazily-initialised atomic load plus an
+//! `is_empty()` check per *job* (not per event), which is unmeasurable
+//! next to a simulation job's millions of references.
 //!
 //! # Grammar
 //!
@@ -102,8 +103,8 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
 }
 
 /// Parses a full comma-separated `JETTY_FAULT` value (pure — this is the
-/// unit-testable half of the resolver, like `resolve_simd` for
-/// `JETTY_SIMD`). Any invalid spec rejects the whole list.
+/// unit-testable half of the resolver, like `resolve_default_threads`
+/// for `JETTY_THREADS`). Any invalid spec rejects the whole list.
 pub fn parse_fault_specs(value: &str) -> Result<Vec<FaultSpec>, String> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty()).map(parse_spec).collect()
 }
@@ -189,7 +190,7 @@ impl Faults {
 
 /// The process-wide fault plan: `JETTY_FAULT` resolved on first use, then
 /// cached. Logs the armed specs (or a warning for an invalid value) to
-/// stderr exactly once, mirroring `[simd] kernel dispatch:`.
+/// stderr exactly once.
 pub fn active() -> &'static Faults {
     static FAULTS: OnceLock<Faults> = OnceLock::new();
     FAULTS.get_or_init(|| {

@@ -54,6 +54,26 @@ impl RunOptions {
         }
     }
 
+    /// Largest trace-length multiplier a user may request: 100× the
+    /// paper-length traces. The bound keeps every accepted run finite —
+    /// an infinite or astronomically large scale saturates the
+    /// generator's reference count and would never finish.
+    pub const MAX_SCALE: f64 = 100.0;
+
+    /// Parses a user-supplied trace-length multiplier (the `--scale`
+    /// flag and the sweep's `scale` axis), accepting only finite values
+    /// in `(0, MAX_SCALE]` so no input can abort or hang the generator.
+    pub fn parse_scale(raw: &str) -> Result<f64, String> {
+        let scale: f64 = raw.parse().map_err(|_| format!("bad scale: {raw}"))?;
+        if !(scale > 0.0 && scale <= Self::MAX_SCALE) {
+            return Err(format!(
+                "scale must be positive and at most {}; got {raw}",
+                Self::MAX_SCALE
+            ));
+        }
+        Ok(scale)
+    }
+
     /// Scales the trace length (for quick runs and benches).
     pub fn with_scale(mut self, scale: f64) -> Self {
         self.scale = scale;

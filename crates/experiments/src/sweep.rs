@@ -141,8 +141,9 @@ impl SweepGrid {
 
     /// Replaces one axis's values from a comma-separated CLI string.
     /// Rejects empty lists, unparsable values, invalid geometries
-    /// (`cpus<2`, `scale<=0`), and duplicates (a duplicated value would
-    /// silently duplicate every row it touches).
+    /// (`cpus<2`, a scale outside `(0, RunOptions::MAX_SCALE]`), and
+    /// duplicates (a duplicated value would silently duplicate every row
+    /// it touches).
     pub fn set_axis(&mut self, axis: Axis, values: &str) -> Result<(), String> {
         fn parse_list<T: PartialEq>(
             axis: Axis,
@@ -197,12 +198,7 @@ impl SweepGrid {
             }
             Axis::Scale => {
                 self.scales = parse_list(axis, values, |raw| {
-                    let x: f64 =
-                        raw.parse().map_err(|_| format!("axis scale: bad value {raw:?}"))?;
-                    if !(x > 0.0 && x.is_finite()) {
-                        return Err(format!("axis scale: scale must be positive, got {raw}"));
-                    }
-                    Ok(x)
+                    RunOptions::parse_scale(raw).map_err(|e| format!("axis scale: {e}"))
                 })?;
             }
             Axis::Subblocking => {
@@ -493,6 +489,8 @@ mod tests {
             (Axis::Scale, "0"),
             (Axis::Scale, "-1"),
             (Axis::Scale, "inf"),
+            (Axis::Scale, "NaN"),
+            (Axis::Scale, "1e308"),
             (Axis::Subblocking, "maybe"),
         ] {
             let before = grid.clone();

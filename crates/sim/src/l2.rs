@@ -33,7 +33,7 @@
 //! NSB variant 1), and the nibble field encodes only *valid* states:
 //! `Invalid` is represented by a clear valid bit, never by a nibble.
 
-use jetty_core::kernels::{self, SimdLevel};
+use jetty_core::kernels;
 use jetty_core::UnitAddr;
 
 use crate::config::L2Config;
@@ -199,14 +199,7 @@ impl L2Cache {
     /// event. The caller reads [`L2Cache::state`] only for units whose
     /// subblock is valid.
     pub fn snoop_probe_many(&self, units: &[u64], out: &mut Vec<u8>) {
-        self.snoop_probe_many_with(kernels::active_level(), units, out);
-    }
-
-    /// [`snoop_probe_many`](L2Cache::snoop_probe_many) with an explicit
-    /// kernel level, so differential tests can pin the scalar and AVX2
-    /// probe kernels against each other on the same cache image.
-    pub fn snoop_probe_many_with(&self, level: SimdLevel, units: &[u64], out: &mut Vec<u8>) {
-        kernels::snoop_probe_many(level, &self.hot, units, self.sub_bits, self.index_bits, out);
+        kernels::snoop_probe_many(&self.hot, units, self.sub_bits, self.index_bits, out);
     }
 
     /// Data version of `unit`; 0 when absent.

@@ -276,26 +276,18 @@ impl System {
     /// Runs an entire trace through the system by buffering it into
     /// [`System::CHUNK_LEN`]-reference chunks and delegating to
     /// [`System::run_chunk`], so iterator-driven callers get the batched
-    /// snoop fan-out for free.
+    /// snoop fan-out for free. This is [`System::run_gated`] under an
+    /// unbounded gate.
     pub fn run<I: IntoIterator<Item = MemRef>>(&mut self, trace: I) {
-        let mut buf = Vec::with_capacity(Self::CHUNK_LEN);
-        for r in trace {
-            buf.push(r);
-            if buf.len() == Self::CHUNK_LEN {
-                self.run_chunk(&buf);
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            self.run_chunk(&buf);
-        }
+        self.run_gated(trace, &crate::RunGate::unbounded())
+            .unwrap_or_else(|stop| unreachable!("unbounded gate cannot stop a run: {stop:?}"));
     }
 
     /// [`System::run`] under a [`RunGate`]: the gate is consulted before
     /// every chunk, so a deadline or cancellation stops the run within
     /// one chunk's worth of work (`Err` carries the reason; counters
-    /// reflect exactly the chunks that completed). With an unbounded
-    /// gate this is [`System::run`] plus one free check per chunk.
+    /// reflect exactly the chunks that completed). An unbounded gate's
+    /// check is free.
     ///
     /// [`RunGate`]: crate::RunGate
     pub fn run_gated<I: IntoIterator<Item = MemRef>>(

@@ -83,26 +83,33 @@ proptest! {
     /// The full paper bank (include, exclude, vector-exclude and hybrid
     /// variants all at once) over contended traffic: batched replay must
     /// be observation-identical for every protocol and any chunk boundary,
-    /// including chunk lengths that leave a partial final chunk.
+    /// including chunk lengths that leave a partial final chunk. Odd
+    /// geometries ride along — direct-mapped, non-power-of-two and 9-way
+    /// exclude sets — so the shared way scan is exercised at set widths
+    /// the paper never uses.
     #[test]
     fn paper_bank_batched_equals_scalar(
         refs in prop::collection::vec(ref_strategy(4, 64), 1..400),
         chunk_len in 1usize..96,
     ) {
+        let mut bank = FilterSpec::paper_bank();
+        bank.extend([
+            FilterSpec::exclude(8, 1),
+            FilterSpec::exclude(8, 3),
+            FilterSpec::exclude(4, 5),
+            FilterSpec::exclude(2, 9),
+            FilterSpec::vector_exclude(8, 3, 8),
+            FilterSpec::vector_exclude(2, 9, 4),
+        ]);
         for protocol in ProtocolKind::ALL {
-            assert_batched_matches_scalar(
-                &refs,
-                chunk_len,
-                protocol,
-                &FilterSpec::paper_bank(),
-                64,
-            );
+            assert_batched_matches_scalar(&refs, chunk_len, protocol, &bank, 64);
         }
     }
 
-    /// Sparse traffic through a hybrid filter: exercises eager exclude
-    /// allocation inside the replay (the one filter whose probe mutates
-    /// state) plus eviction-driven deallocate events.
+    /// Sparse traffic through hybrid filters: exercises eviction-driven
+    /// deallocate events under the backup policy, and the eager-allocation
+    /// ablation — the one replay that mutates the exclude part mid-run on
+    /// IJ-filtered snoops, through the same `probe` the eager path calls.
     #[test]
     fn hybrid_batched_equals_scalar_under_eviction_pressure(
         refs in prop::collection::vec(ref_strategy(4, 4096), 1..300),
@@ -113,7 +120,10 @@ proptest! {
                 &refs,
                 chunk_len,
                 protocol,
-                &[FilterSpec::hybrid_scalar(8, 4, 7, 16, 2)],
+                &[
+                    FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
+                    FilterSpec::hybrid_scalar_eager(8, 4, 7, 16, 2),
+                ],
                 64,
             );
         }

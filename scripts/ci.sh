@@ -9,16 +9,12 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q (JETTY_SIMD=scalar, then auto, then sharded)"
+echo "==> tier-1: cargo build --release && cargo test -q (then sharded)"
 cargo build --release
-# The whole suite runs at both kernel dispatch levels: forced-scalar
-# proves the portable kernels alone, auto adds the AVX2 twins on hosts
-# that have them (and is identical to scalar elsewhere). A third leg
-# fans the snoop replay out to two shards — any scheduling sensitivity
-# in the deterministic bus-order merge fails loudly here.
-JETTY_SIMD=scalar cargo test -q
-JETTY_SIMD=auto cargo test -q
-JETTY_SIMD=auto JETTY_SHARDS=2 cargo test -q
+cargo test -q
+# A second leg fans the snoop replay out to two shards — any scheduling
+# sensitivity in the deterministic bus-order merge fails loudly here.
+JETTY_SHARDS=2 cargo test -q
 
 echo "==> cargo build --examples --benches"
 cargo build --examples --benches
@@ -29,17 +25,15 @@ cargo bench --no-run
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-# Golden stdout must be byte-identical at every kernel dispatch level and
-# every shard count — the SIMD layer and the intra-run replay fan-out are
-# implementation details, never observable ones.
-for simd in scalar auto; do
-  for shards in 1 2; do
-    echo "==> golden output (JETTY_SIMD=$simd JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
-    JETTY_SIMD=$simd JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
+# Golden stdout must be byte-identical at every shard count — the
+# intra-run replay fan-out is an implementation detail, never an
+# observable one.
+for shards in 1 2; do
+  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
+  JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
 
-    echo "==> golden output (JETTY_SIMD=$simd JETTY_SHARDS=$shards): jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
-    JETTY_SIMD=$simd JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
-  done
+  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
+  JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
 done
 
 echo "==> sweep smoke: jetty-repro sweep --scale 0.02 --threads 2"
