@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, UnitAddr};
+use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr};
 use jetty_sim::{FastMap, L2Cache, L2Config, Moesi};
 use jetty_workloads::{apps, TraceGen};
 

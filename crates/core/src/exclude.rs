@@ -19,8 +19,8 @@
 
 use std::fmt;
 
-use crate::addr::{AddrSpace, UnitAddr};
-use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::addr::AddrSpace;
+use crate::filter::{self, ArraySpec, FilterActivity, FilterEvent, SnoopFilter};
 use crate::kernels::{self, EjGeom};
 
 /// Configuration for an [`ExcludeJetty`], the paper's `EJ-SxA` naming.
@@ -72,25 +72,21 @@ impl ExcludeConfig {
 /// on a tag match alone.
 const EMPTY_KEY: u64 = u64::MAX;
 
-fn make_key(tag: u64, present: bool) -> u64 {
-    tag << 1 | u64::from(present)
-}
-
 /// The Exclude-Jetty filter. See the module docs for semantics.
 ///
 /// # Examples
 ///
 /// ```
-/// use jetty_core::{AddrSpace, ExcludeConfig, ExcludeJetty, MissScope, SnoopFilter, UnitAddr,
-///                  Verdict};
+/// use jetty_core::{AddrSpace, ExcludeConfig, ExcludeJetty, FilterEvent, MissScope, SnoopFilter,
+///                  UnitAddr, Verdict};
 ///
 /// let mut ej = ExcludeJetty::new(ExcludeConfig::new(8, 2), AddrSpace::default());
 /// let unit = UnitAddr::new(0x40);
 ///
-/// // Unknown block: cannot filter.
-/// assert_eq!(ej.probe(unit), Verdict::MaybeCached);
-/// // The snoop went to the L2 and the whole tag missed; EJ learns.
-/// ej.record_snoop_miss(unit, MissScope::Block);
+/// // Unknown block: cannot filter. The snoop goes to the L2, the whole
+/// // tag misses, and EJ learns.
+/// let snoop = FilterEvent::Snoop { unit, would_hit: false, scope: MissScope::Block };
+/// assert_eq!(ej.apply_batch(&[snoop], 0), 0);
 /// // The next snoop to the same block — either subblock — is filtered.
 /// assert_eq!(ej.probe(unit), Verdict::NotCached);
 /// assert_eq!(ej.probe(UnitAddr::new(0x41)), Verdict::NotCached); // sibling subblock
@@ -111,10 +107,10 @@ pub struct ExcludeJetty {
     /// stamped). Touched only on tag hits and replacements.
     stamps: Vec<u64>,
     clock: u64,
-    /// Block-scope `record_snoop_miss` calls since the last reset (each is
-    /// exactly one tag write, charged in `activity()`).
+    /// Snoop misses recorded since the last reset (each is exactly one
+    /// tag write, charged in `activity()`).
     records: u64,
-    /// `on_allocate` calls since the last reset (each is exactly one tag
+    /// Allocate events since the last reset (each is exactly one tag
     /// read, charged in `activity()`).
     allocates: u64,
     activity: FilterActivity,
@@ -168,65 +164,9 @@ impl ExcludeJetty {
         self.space.block_bits().saturating_sub(self.set_bits())
     }
 
-    fn split(&self, addr: UnitAddr) -> (usize, u64) {
-        let block = self.space.block_of_unit(addr);
-        let set = (block as usize) & (self.config.sets - 1);
-        let tag = block >> self.set_bits();
-        (set, tag)
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn tag_array(&mut self) -> &mut ArrayActivity {
-        &mut self.activity.arrays[0]
-    }
-
-    /// The contiguous slice of ways backing `set`.
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        let base = set * self.config.ways;
-        base..base + self.config.ways
-    }
-
-    /// Flat index of the way holding `tag` in `set`, if any. Scans keys
-    /// only ([`EMPTY_KEY`] can never alias a real tag), with the same
-    /// way scan the replay kernel runs ([`kernels::find_key_ej`]).
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let range = self.set_range(set);
-        let base = range.start;
-        kernels::find_key_ej(&self.keys[range], tag).map(|way| base + way)
-    }
-
-    /// Replays a node's deferred event list through this filter — exactly
-    /// equivalent to the substrate's eager per-snoop sequence (probe, then
-    /// the safety assertion or [`record_snoop_miss`](SnoopFilter::record_snoop_miss)
-    /// on an unfiltered genuine miss), but with the probe/filtered counters
-    /// accumulated in registers and charged once per batch, and the key and
-    /// stamp arrays staying cache-resident across the whole batch. `node`
-    /// only labels the safety panic.
-    ///
-    /// The event chunk goes to a single [`kernels::ej_replay`] call
-    /// **as-is** — no gather pass, no scratch copy: the kernel splits
-    /// each unit address with this filter's [`EjGeom`] as it goes and
-    /// fuses the eager probe+record sequence around one lookup per
-    /// snoop, tick order preserved exactly.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        let out = self.replay_events(events, &[]);
-        if let Some(bad) = out.unsafe_at {
-            let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                unreachable!("unsafe_at always indexes a snoop event");
-            };
-            panic!(
-                "UNSAFE FILTER: EJ-{}x{} filtered a snoop to cached unit {unit} on node {node}",
-                self.config.sets, self.config.ways
-            );
-        }
-    }
-
-    /// The address-split geometry handed to the replay kernel; encodes
-    /// exactly the [`split`](ExcludeJetty::split) computation.
+    /// The address-split geometry handed to the replay kernel: a unit
+    /// address becomes a block address, whose low `set_bits` pick the set
+    /// and whose remaining bits are the tag.
     fn geom(&self) -> EjGeom {
         EjGeom {
             block_shift: self.space.block_unit_shift(),
@@ -235,17 +175,18 @@ impl ExcludeJetty {
         }
     }
 
-    /// Replays one [`crate::FilterEvent`] chunk through a single
+    /// Replays one [`FilterEvent`] chunk through a single
     /// [`kernels::ej_replay`] call and folds the kernel's counters into
     /// this filter's activity: probe/allocate counts are uniform
     /// tag-read charges, records/filtered/present-bit writes and the
-    /// LRU clock come back from the kernel. Shared by the standalone
-    /// batch path above and the hybrid's union replay (which passes its
-    /// IJ verdict slice); the caller owns the unsafe-filter panic (the
-    /// hybrid labels it with its own name).
+    /// LRU clock come back from the kernel. The event chunk goes to the
+    /// kernel as-is — no gather pass, no scratch copy. Shared by
+    /// [`apply_batch`](SnoopFilter::apply_batch) and the hybrid's replays
+    /// (which pass their IJ verdict slice); the caller owns the
+    /// unsafe-filter panic (the hybrid labels it with its own name).
     pub(crate) fn replay_events(
         &mut self,
-        events: &[crate::FilterEvent],
+        events: &[FilterEvent],
         ij_filtered: &[bool],
     ) -> kernels::ReplayOut {
         let geom = self.geom();
@@ -269,64 +210,10 @@ impl ExcludeJetty {
 }
 
 impl SnoopFilter for ExcludeJetty {
-    fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        // Every probe reads the tag array exactly once, so that read is
-        // derived from `probes` in `activity()` instead of paying a
-        // counter bump on the snoop hot path.
-        self.activity.probes += 1;
-        let (set, tag) = self.split(addr);
-        if let Some(slot) = self.find(set, tag) {
-            // The clock only advances when a stamp is actually assigned:
-            // stamps stay strictly monotonic in assignment order, so every
-            // LRU comparison is unchanged, and probe misses skip the
-            // counter bump.
-            self.stamps[slot] = self.tick();
-            if self.keys[slot] & 1 != 0 {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
-    }
-
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        // Only a whole-tag miss proves the block absent; a subblock-only
-        // miss (tag matched, unit invalid) cannot be recorded at block
-        // grain without risking an unsafe filter.
-        if scope != MissScope::Block {
-            return;
-        }
-        // Exactly one tag write per recorded miss, deferred to `activity()`.
-        self.records += 1;
-        let (set, tag) = self.split(addr);
-        let stamp = self.tick();
-        if let Some(slot) = self.find(set, tag) {
-            self.keys[slot] |= 1;
-            self.stamps[slot] = stamp;
-        } else {
-            let range = self.set_range(set);
-            let victim = range.start + kernels::lru_victim(&self.stamps[range]);
-            self.keys[victim] = make_key(tag, true);
-            self.stamps[victim] = stamp;
-        }
-    }
-
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        // Any unit arriving in the block makes a block-grain record stale.
-        // Exactly one tag read per call, deferred to `activity()`.
-        self.allocates += 1;
-        let (set, tag) = self.split(addr);
-        if let Some(slot) = self.find(set, tag) {
-            if self.keys[slot] & 1 != 0 {
-                self.keys[slot] &= !1;
-                self.tag_array().writes += 1;
-            }
-        }
-    }
-
-    fn on_deallocate(&mut self, _addr: UnitAddr) {
-        // A unit leaving the cache never makes an EJ record unsafe; EJ
-        // simply waits for the next snoop miss to relearn the block.
+    fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64 {
+        let out = self.replay_events(events, &[]);
+        filter::assert_safe(self, events, out.unsafe_at, node);
+        out.filtered
     }
 
     fn arrays(&self) -> Vec<ArraySpec> {
@@ -358,6 +245,8 @@ impl SnoopFilter for ExcludeJetty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::snoop_miss;
+    use crate::{MissScope, UnitAddr, Verdict};
 
     fn ej(sets: usize, ways: usize) -> ExcludeJetty {
         ExcludeJetty::new(ExcludeConfig::new(sets, ways), AddrSpace::default())
@@ -379,8 +268,8 @@ mod tests {
         // Units 122/123 are the two subblocks of block 61.
         let u0 = UnitAddr::new(122);
         let u1 = UnitAddr::new(123);
-        assert_eq!(f.probe(u0), Verdict::MaybeCached);
-        f.record_snoop_miss(u0, MissScope::Block);
+        // The snoop gets through, misses the whole tag, and is learned.
+        assert_eq!(snoop_miss(&mut f, u0, MissScope::Block), Verdict::MaybeCached);
         // Both subblocks of the block are now filtered.
         assert_eq!(f.probe(u0), Verdict::NotCached);
         assert_eq!(f.probe(u1), Verdict::NotCached);
@@ -390,7 +279,7 @@ mod tests {
     fn unit_scope_misses_are_not_recorded() {
         let mut f = ej(8, 2);
         let u = UnitAddr::new(122);
-        f.record_snoop_miss(u, MissScope::Unit);
+        snoop_miss(&mut f, u, MissScope::Unit);
         assert_eq!(f.probe(u), Verdict::MaybeCached);
     }
 
@@ -399,7 +288,7 @@ mod tests {
         let mut f = ej(8, 2);
         let u0 = UnitAddr::new(200);
         let sibling = UnitAddr::new(201);
-        f.record_snoop_miss(u0, MissScope::Block);
+        snoop_miss(&mut f, u0, MissScope::Block);
         assert_eq!(f.probe(sibling), Verdict::NotCached);
         // The sibling subblock arrives locally: the whole record dies.
         f.on_allocate(sibling);
@@ -422,11 +311,11 @@ mod tests {
         let a = UnitAddr::new(0);
         let b = UnitAddr::new(2);
         let c = UnitAddr::new(4);
-        f.record_snoop_miss(a, MissScope::Block);
-        f.record_snoop_miss(b, MissScope::Block);
+        snoop_miss(&mut f, a, MissScope::Block);
+        snoop_miss(&mut f, b, MissScope::Block);
         // `a` is refreshed by a probe; `b` becomes LRU.
         assert_eq!(f.probe(a), Verdict::NotCached);
-        f.record_snoop_miss(c, MissScope::Block);
+        snoop_miss(&mut f, c, MissScope::Block);
         assert_eq!(f.probe(a), Verdict::NotCached);
         assert_eq!(f.probe(b), Verdict::MaybeCached);
         assert_eq!(f.probe(c), Verdict::NotCached);
@@ -436,7 +325,7 @@ mod tests {
     fn distinct_sets_do_not_conflict() {
         let mut f = ej(4, 1);
         for block in 0..4u64 {
-            f.record_snoop_miss(UnitAddr::new(block * 2), MissScope::Block);
+            snoop_miss(&mut f, UnitAddr::new(block * 2), MissScope::Block);
         }
         for block in 0..4u64 {
             assert_eq!(f.probe(UnitAddr::new(block * 2)), Verdict::NotCached);
@@ -460,8 +349,7 @@ mod tests {
     fn activity_counts_reads_and_writes() {
         let mut f = ej(8, 2);
         let u = UnitAddr::new(5);
-        f.probe(u); // 1 read
-        f.record_snoop_miss(u, MissScope::Block); // 1 write
+        snoop_miss(&mut f, u, MissScope::Block); // 1 read (probe) + 1 write (record)
         f.on_allocate(u); // 1 read + 1 write (record was present)
         let act = f.activity();
         assert_eq!(act.arrays[0].reads, 2);
@@ -473,7 +361,7 @@ mod tests {
     fn reset_activity_preserves_state() {
         let mut f = ej(8, 2);
         let u = UnitAddr::new(11);
-        f.record_snoop_miss(u, MissScope::Block);
+        snoop_miss(&mut f, u, MissScope::Block);
         f.reset_activity();
         assert_eq!(f.activity().probes, 0);
         assert_eq!(f.probe(u), Verdict::NotCached);
@@ -494,10 +382,8 @@ mod tests {
         let mut f = ej(32, 4);
         let mut filtered = 0;
         for unit in 0..256u64 {
-            if f.probe(UnitAddr::new(unit)).is_filtered() {
+            if snoop_miss(&mut f, UnitAddr::new(unit), MissScope::Block).is_filtered() {
                 filtered += 1;
-            } else {
-                f.record_snoop_miss(UnitAddr::new(unit), MissScope::Block);
             }
         }
         assert_eq!(filtered, 128, "exactly every second subblock snoop is filtered");

@@ -10,8 +10,9 @@
 //!
 //! Filters are *speculative but safe*: they may fail to filter a snoop that
 //! would miss, but they must never filter a snoop to a unit that is cached
-//! (paper §2, requirement 3). The SMP substrate enforces this invariant in
-//! checked mode, and the property tests in this crate exercise it directly.
+//! (paper §2, requirement 3). Every replay re-checks this invariant
+//! against the snoop's `would_hit`, and the property tests in this crate
+//! exercise it directly.
 
 use std::fmt;
 
@@ -154,18 +155,18 @@ impl FilterActivity {
     }
 }
 
-/// One deferred filter notification, as logged by the SMP substrate's
-/// batched hot path.
+/// One filter notification, as logged by the SMP substrate.
 ///
 /// Filters are pure bystanders: their state depends only on the ordered
 /// sequence of notifications *they themselves* receive, never on protocol
 /// state. The substrate exploits this by logging one compact event per
-/// notification while it simulates a chunk of references scalar-fashion,
-/// then replaying each node's event list through each filter in turn
-/// ([`AnyFilter::apply_batch`](crate::AnyFilter::apply_batch)) — one
-/// filter's arrays stay cache-resident across thousands of events instead
-/// of a whole bank thrashing per snoop. Replaying the events in order is
-/// *exactly* equivalent to the eager calls, including energy accounting.
+/// notification while it simulates a chunk of references, then replaying
+/// each node's event list through each filter in turn
+/// ([`SnoopFilter::apply_batch`]) — one filter's arrays stay
+/// cache-resident across thousands of events instead of a whole bank
+/// thrashing per snoop. Replay is the only way a filter changes state: the
+/// one-event calls ([`SnoopFilter::probe`] and friends) replay a single
+/// event, so chunk boundaries never change a filter's state or activity.
 ///
 /// # Examples
 ///
@@ -179,9 +180,8 @@ impl FilterActivity {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FilterEvent {
     /// A bus snoop probed this node: the filter is probed, and — when the
-    /// snoop was not filtered and the L2 would miss (`!would_hit`) — the
-    /// filter learns the miss via
-    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss) with `scope`.
+    /// snoop was not filtered and the L2 would miss (`!would_hit`) —
+    /// exclude-style filters learn the miss at the proven `scope`.
     /// `would_hit` also drives the safety assertion: a filter that claims
     /// [`Verdict::NotCached`] for a cached unit is unsafe.
     Snoop {
@@ -192,33 +192,39 @@ pub enum FilterEvent {
         /// Absence scope proven by the L2 tag probe on a miss.
         scope: MissScope,
     },
-    /// The local L2 gained a valid copy ([`on_allocate`](SnoopFilter::on_allocate)).
+    /// The local L2 gained a valid copy of the unit (fills).
     Allocate(UnitAddr),
-    /// The local L2 lost a valid copy ([`on_deallocate`](SnoopFilter::on_deallocate)).
+    /// The local L2 lost a valid copy of the unit (evictions and snoop
+    /// invalidations).
     Deallocate(UnitAddr),
 }
 
 /// A snoop filter in the JETTY family.
 ///
-/// The SMP substrate drives a filter through four notifications:
+/// The SMP substrate drives a filter through three notifications, logged
+/// as [`FilterEvent`]s and replayed in order by
+/// [`apply_batch`](SnoopFilter::apply_batch), the one mutator a filter
+/// implements:
 ///
-/// 1. [`probe`](SnoopFilter::probe) on every bus snoop destined for this
-///    node (reads the filter's arrays);
-/// 2. [`record_snoop_miss`](SnoopFilter::record_snoop_miss) when an
-///    *unfiltered* snoop subsequently missed in the local L2 (lets
-///    exclude-style filters learn);
-/// 3. [`on_allocate`](SnoopFilter::on_allocate) when the local L2 gains a
-///    valid copy of a coherence unit (fills);
-/// 4. [`on_deallocate`](SnoopFilter::on_deallocate) when the local L2 loses
-///    one (evictions and snoop invalidations).
+/// 1. [`FilterEvent::Snoop`] on every bus snoop destined for this node
+///    (reads the filter's arrays; an unfiltered snoop that missed in the
+///    local L2 lets exclude-style filters learn);
+/// 2. [`FilterEvent::Allocate`] when the local L2 gains a valid copy of a
+///    coherence unit (fills);
+/// 3. [`FilterEvent::Deallocate`] when the local L2 loses one (evictions
+///    and snoop invalidations).
+///
+/// [`probe`](SnoopFilter::probe), [`on_allocate`](SnoopFilter::on_allocate)
+/// and [`on_deallocate`](SnoopFilter::on_deallocate) are one-event replays
+/// for callers that drive a filter by hand.
 ///
 /// # Safety contract
 ///
-/// After any interleaving of these calls in which every unit's
-/// allocate/deallocate events are balanced, `probe(u)` may return
-/// [`Verdict::NotCached`] only if `u` is not currently allocated. Filters in
-/// this crate uphold the contract structurally; the substrate re-checks it
-/// in checked mode.
+/// After any interleaving of these events in which every unit's
+/// allocate/deallocate events are balanced, a snoop to `u` may be answered
+/// [`Verdict::NotCached`] only if `u` is not currently allocated. Filters
+/// in this crate uphold the contract structurally, and `apply_batch`
+/// re-checks it against each snoop's `would_hit`.
 ///
 /// # Threading
 ///
@@ -227,20 +233,39 @@ pub enum FilterEvent {
 /// experiment engine runs independent simulations concurrently. Filters
 /// are still driven single-threaded — `Sync` is *not* required.
 pub trait SnoopFilter: fmt::Debug + Send {
-    /// Probes the filter for a bus snoop to `addr`.
-    fn probe(&mut self, addr: UnitAddr) -> Verdict;
+    /// Replays a node's ordered event list through this filter and
+    /// returns how many of its snoops the filter answered
+    /// [`Verdict::NotCached`]. `node` only labels the safety panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics with an `UNSAFE FILTER` message at the first snoop the
+    /// filter answers `NotCached` although its `would_hit` is set.
+    fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64;
 
-    /// Informs the filter that an unfiltered snoop to `addr` probed the
-    /// local L2 tag array and missed, with the proven absence `scope`.
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope);
+    /// Probes the filter for a bus snoop to `addr` that learns nothing:
+    /// the one-event replay of a `Snoop` with `would_hit: false` and
+    /// [`MissScope::Unit`].
+    fn probe(&mut self, addr: UnitAddr) -> Verdict {
+        let snoop = FilterEvent::Snoop { unit: addr, would_hit: false, scope: MissScope::Unit };
+        if self.apply_batch(&[snoop], 0) == 0 {
+            Verdict::MaybeCached
+        } else {
+            Verdict::NotCached
+        }
+    }
 
     /// Informs the filter that the local L2 now holds a valid copy of
-    /// `addr`.
-    fn on_allocate(&mut self, addr: UnitAddr);
+    /// `addr` (the one-event replay of [`FilterEvent::Allocate`]).
+    fn on_allocate(&mut self, addr: UnitAddr) {
+        self.apply_batch(&[FilterEvent::Allocate(addr)], 0);
+    }
 
     /// Informs the filter that the local L2 no longer holds a valid copy of
-    /// `addr`.
-    fn on_deallocate(&mut self, addr: UnitAddr);
+    /// `addr` (the one-event replay of [`FilterEvent::Deallocate`]).
+    fn on_deallocate(&mut self, addr: UnitAddr) {
+        self.apply_batch(&[FilterEvent::Deallocate(addr)], 0);
+    }
 
     /// The physical arrays this filter is built from, for storage/energy
     /// estimation.
@@ -258,6 +283,43 @@ pub trait SnoopFilter: fmt::Debug + Send {
     /// Total storage in bits across all arrays.
     fn storage_bits(&self) -> usize {
         self.arrays().iter().map(ArraySpec::storage_bits).sum()
+    }
+}
+
+/// Raises the filter-safety panic for a replay kernel's `unsafe_at`
+/// index (the first snoop in `events` that `filter` answered `NotCached`
+/// although the unit was cached); does nothing for `None`.
+pub(crate) fn assert_safe(
+    filter: &impl SnoopFilter,
+    events: &[FilterEvent],
+    unsafe_at: Option<usize>,
+    node: usize,
+) {
+    if let Some(bad) = unsafe_at {
+        let FilterEvent::Snoop { unit, .. } = events[bad] else {
+            unreachable!("unsafe_at always indexes a snoop event");
+        };
+        panic!(
+            "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
+            filter.name()
+        );
+    }
+}
+
+/// Replays one unfiltered-or-filtered snoop that misses the local L2 at
+/// `scope` and returns the filter's verdict (unit-test shorthand for
+/// "probe, and learn the miss if the snoop got through").
+#[cfg(test)]
+pub(crate) fn snoop_miss(
+    filter: &mut impl SnoopFilter,
+    unit: UnitAddr,
+    scope: MissScope,
+) -> Verdict {
+    let snoop = FilterEvent::Snoop { unit, would_hit: false, scope };
+    if filter.apply_batch(&[snoop], 0) == 0 {
+        Verdict::MaybeCached
+    } else {
+        Verdict::NotCached
     }
 }
 

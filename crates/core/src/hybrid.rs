@@ -7,18 +7,18 @@
 //! says "not cached" — the union of two safe guarantees is safe.
 //!
 //! To keep the EJ pointed at exactly the snoops the IJ cannot handle,
-//! entries are allocated in the EJ only when the IJ failed to filter them
-//! (the substrate reports snoop misses to [`HybridJetty::record_snoop_miss`]
-//! only for snoops neither component filtered, and the IJ component ignores
-//! them, so the rule falls out naturally). Both components are probed in
+//! entries are allocated in the EJ only when the IJ failed to filter them:
+//! a snoop miss is learned only when neither component filtered it (the
+//! IJ's verdict gates the EJ's recording). Both components are probed in
 //! parallel on every snoop to keep latency off the critical path, so both
 //! always pay probe energy.
 
 use std::fmt;
+use std::slice;
 
-use crate::addr::{AddrSpace, UnitAddr};
+use crate::addr::AddrSpace;
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
-use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::filter::{self, ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter};
 use crate::include::{IncludeConfig, IncludeJetty};
 use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 
@@ -60,7 +60,7 @@ enum ExcludeEngine {
 }
 
 /// Statically dispatches one method call to the live exclude variant (the
-/// per-snoop paths must not pay a vtable hop inside the hybrid).
+/// replay paths must not pay a vtable hop inside the hybrid).
 macro_rules! exclude_dispatch {
     ($self:expr, $f:ident ( $($arg:expr),* )) => {
         match $self {
@@ -154,12 +154,9 @@ pub struct HybridJetty {
     exclude: ExcludeEngine,
     probes: u64,
     filtered: u64,
-    /// Reusable gather buffer for the eager-ablation replay: the unit
-    /// addresses of one run of consecutive snoop events.
-    scratch_units: Vec<u64>,
     /// Reusable IJ verdict buffer: the backup-policy replay fills it
     /// with one verdict per event (shared between the IJ and EJ kernel
-    /// passes); the eager ablation pairs it with `scratch_units`.
+    /// passes).
     scratch_absent: Vec<bool>,
 }
 
@@ -181,15 +178,7 @@ impl HybridJetty {
             ExcludePart::Scalar(c) => ExcludeEngine::Scalar(ExcludeJetty::new(c, space)),
             ExcludePart::Vector(c) => ExcludeEngine::Vector(VectorExcludeJetty::new(c, space)),
         };
-        Self {
-            config,
-            include,
-            exclude,
-            probes: 0,
-            filtered: 0,
-            scratch_units: Vec::new(),
-            scratch_absent: Vec::new(),
-        }
+        Self { config, include, exclude, probes: 0, filtered: 0, scratch_absent: Vec::new() }
     }
 
     /// The configuration this filter was built with.
@@ -202,154 +191,76 @@ impl HybridJetty {
         &self.include
     }
 
-    /// Replays a node's deferred event list through the hybrid — exactly
-    /// equivalent to the substrate's eager per-snoop sequence (probe, then
-    /// the safety assertion or [`record_snoop_miss`](SnoopFilter::record_snoop_miss)
-    /// on an unfiltered genuine miss). The hybrid keeps both component
-    /// structures hot across the batch; `probe` carries the eager-ablation
-    /// side effects, so replay goes through it rather than inlining the
-    /// components. `node` only labels the safety panic.
-    ///
-    /// Under the paper's backup policy the **same** event chunk is
-    /// replayed by two kernel calls, with no gather pass: the IJ pass
-    /// fills a verdict vector parallel to the chunk (safe to run ahead —
-    /// nothing in the hybrid's snoop handling mutates IJ state, and IJ
-    /// state never depends on the EJ), then the EJ/VEJ pass reads that
-    /// slice to compute union verdicts, records exactly the misses
-    /// neither component filtered, and is the panic authority for unsafe
-    /// filters. The eager-allocation ablation (which mutates the exclude
-    /// part mid-run on IJ-filtered snoops) keeps its per-event replay
-    /// below.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        if self.config.ej_allocation == EjAllocation::Backup {
-            let mut verdicts = std::mem::take(&mut self.scratch_absent);
-            // IJ pass: verdicts + counter RMWs. Its unsafe index is
-            // ignored — the EJ pass sees the same verdict slice and owns
-            // the union safety check.
-            self.include.replay_events(events, Some(&mut verdicts));
-            let out = exclude_dispatch!(&mut self.exclude, replay_events(events, &verdicts));
-            self.scratch_absent = verdicts;
-            self.probes += out.probes;
-            self.filtered += out.union_filtered;
-            if let Some(bad) = out.unsafe_at {
-                let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                    unreachable!("unsafe_at always indexes a snoop event");
+    /// The paper's backup policy: the **same** event chunk is replayed
+    /// by two kernel calls, with no gather pass. The IJ pass fills a
+    /// verdict vector parallel to the chunk (safe to run ahead — nothing
+    /// in the hybrid's snoop handling mutates IJ state, and IJ state
+    /// never depends on the EJ), then the EJ/VEJ pass reads that slice to
+    /// compute union verdicts, records exactly the misses neither
+    /// component filtered, and is the panic authority for unsafe filters.
+    fn replay_backup(&mut self, events: &[FilterEvent], node: usize) -> u64 {
+        let mut verdicts = std::mem::take(&mut self.scratch_absent);
+        // IJ pass: verdicts + counter RMWs. Its unsafe index is ignored —
+        // the EJ pass sees the same verdict slice and owns the union
+        // safety check.
+        self.include.replay_events(events, Some(&mut verdicts));
+        let out = exclude_dispatch!(&mut self.exclude, replay_events(events, &verdicts));
+        self.scratch_absent = verdicts;
+        self.probes += out.probes;
+        self.filtered += out.union_filtered;
+        filter::assert_safe(self, events, out.unsafe_at, node);
+        out.union_filtered
+    }
+
+    /// The eager-allocation ablation, one event at a time. It cannot run
+    /// the IJ ahead: an IJ-filtered snoop is a guaranteed L2 miss, so the
+    /// EJ records it even though the hybrid filtered it — at block grain
+    /// only if every sibling unit of the block is IJ-guaranteed absent
+    /// *now*, and the p-bit reads of that test are charged when the EJ
+    /// did not filter the snoop itself.
+    fn replay_eager(&mut self, events: &[FilterEvent], node: usize) -> u64 {
+        let mut filtered = 0;
+        for (i, event) in events.iter().enumerate() {
+            let ij = self.include.replay_events(slice::from_ref(event), None);
+            let FilterEvent::Snoop { unit, would_hit, .. } = *event else {
+                exclude_dispatch!(&mut self.exclude, replay_events(slice::from_ref(event), &[]));
+                continue;
+            };
+            let ij_filtered = ij.filtered != 0;
+            let ej_event = if ij_filtered {
+                let scope = if self.include.block_absent(unit, false) {
+                    MissScope::Block
+                } else {
+                    MissScope::Unit
                 };
-                panic!(
-                    "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                    self.name()
-                );
+                FilterEvent::Snoop { unit, would_hit: false, scope }
+            } else {
+                *event
+            };
+            let ej = exclude_dispatch!(
+                &mut self.exclude,
+                replay_events(slice::from_ref(&ej_event), &[])
+            );
+            if ij_filtered && ej.filtered == 0 {
+                self.include.block_absent(unit, true);
             }
-            return;
-        }
-        let mut units = std::mem::take(&mut self.scratch_units);
-        let mut ij_absent = std::mem::take(&mut self.scratch_absent);
-        let mut i = 0;
-        while i < events.len() {
-            match events[i] {
-                crate::FilterEvent::Snoop { .. } => {
-                    units.clear();
-                    ij_absent.clear();
-                    let run = i;
-                    while let Some(&crate::FilterEvent::Snoop { unit, .. }) = events.get(i) {
-                        units.push(unit.raw());
-                        i += 1;
-                    }
-                    self.include.probe_many(&units, &mut ij_absent);
-                    for (k, &ij_filtered) in ij_absent.iter().enumerate() {
-                        let crate::FilterEvent::Snoop { unit, would_hit, scope } = events[run + k]
-                        else {
-                            unreachable!("gathered run contains only snoop events");
-                        };
-                        self.probes += 1;
-                        let ej = exclude_dispatch!(&mut self.exclude, probe(unit));
-                        if ij_filtered || ej.is_filtered() {
-                            // Same eager-ablation sequence as `probe`, per
-                            // event and in order (its p-bit read charges
-                            // are data-dependent).
-                            if self.config.ej_allocation == EjAllocation::Eager && !ej.is_filtered()
-                            {
-                                let block_units = 1u64 << self.include.space().block_unit_shift();
-                                let base = unit.raw() & !(block_units - 1);
-                                let block_absent = (0..block_units).all(|off| {
-                                    self.include.guarantees_absent(UnitAddr::new(base | off))
-                                });
-                                let scope =
-                                    if block_absent { MissScope::Block } else { MissScope::Unit };
-                                exclude_dispatch!(
-                                    &mut self.exclude,
-                                    record_snoop_miss(unit, scope)
-                                );
-                            }
-                            self.filtered += 1;
-                            assert!(
-                                !would_hit,
-                                "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                                self.name()
-                            );
-                        } else if !would_hit {
-                            self.record_snoop_miss(unit, scope);
-                        }
-                    }
-                }
-                crate::FilterEvent::Allocate(unit) => {
-                    self.on_allocate(unit);
-                    i += 1;
-                }
-                crate::FilterEvent::Deallocate(unit) => {
-                    self.on_deallocate(unit);
-                    i += 1;
-                }
+            self.probes += 1;
+            if ij_filtered || ej.filtered != 0 {
+                filtered += 1;
+                filter::assert_safe(self, events, would_hit.then_some(i), node);
             }
         }
-        self.scratch_units = units;
-        self.scratch_absent = ij_absent;
+        self.filtered += filtered;
+        filtered
     }
 }
 
 impl SnoopFilter for HybridJetty {
-    fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        self.probes += 1;
-        // Both components are probed in parallel (latency), so both always
-        // pay energy, even when one alone would have filtered.
-        let ij = self.include.probe(addr);
-        let ej = exclude_dispatch!(&mut self.exclude, probe(addr));
-        if ij.is_filtered() || ej.is_filtered() {
-            // Eager ablation: a filtered snoop is a guaranteed L2 miss, so
-            // the EJ may record it immediately even though the substrate
-            // will not report it (the hybrid filtered it). Block-grain
-            // recording requires every sibling unit of the block to be
-            // IJ-guaranteed absent; the extra p-bit reads are charged.
-            if self.config.ej_allocation == EjAllocation::Eager && !ej.is_filtered() {
-                let block_units = 1u64 << self.include.space().block_unit_shift();
-                let base = addr.raw() & !(block_units - 1);
-                let block_absent = (0..block_units)
-                    .all(|k| self.include.guarantees_absent(UnitAddr::new(base | k)));
-                let scope = if block_absent { MissScope::Block } else { MissScope::Unit };
-                exclude_dispatch!(&mut self.exclude, record_snoop_miss(addr, scope));
-            }
-            self.filtered += 1;
-            Verdict::NotCached
-        } else {
-            Verdict::MaybeCached
+    fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64 {
+        match self.config.ej_allocation {
+            EjAllocation::Backup => self.replay_backup(events, node),
+            EjAllocation::Eager => self.replay_eager(events, node),
         }
-    }
-
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        // Only reached when neither component filtered, i.e. the IJ failed:
-        // allocate in the EJ (the IJ ignores snoop misses by construction).
-        self.include.record_snoop_miss(addr, scope);
-        exclude_dispatch!(&mut self.exclude, record_snoop_miss(addr, scope));
-    }
-
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        self.include.on_allocate(addr);
-        exclude_dispatch!(&mut self.exclude, on_allocate(addr));
-    }
-
-    fn on_deallocate(&mut self, addr: UnitAddr) {
-        self.include.on_deallocate(addr);
-        exclude_dispatch!(&mut self.exclude, on_deallocate(addr));
     }
 
     fn arrays(&self) -> Vec<ArraySpec> {
@@ -381,6 +292,8 @@ impl SnoopFilter for HybridJetty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::snoop_miss;
+    use crate::{UnitAddr, Verdict};
 
     fn hj() -> HybridJetty {
         HybridJetty::new(
@@ -411,10 +324,10 @@ mod tests {
         let cached = UnitAddr::new(0x0BAD_CAFE);
         let alias = UnitAddr::new(0x0BAD_CAFE | (1 << 34));
         f.on_allocate(cached);
-        // IJ cannot filter the alias...
-        assert_eq!(f.probe(alias), Verdict::MaybeCached);
-        // ...but after the L2 reported the miss, the EJ can.
-        f.record_snoop_miss(alias, MissScope::Block);
+        // IJ cannot filter the alias, so the snoop reaches the L2 and
+        // misses...
+        assert_eq!(snoop_miss(&mut f, alias, MissScope::Block), Verdict::MaybeCached);
+        // ...and after that the EJ can.
         assert_eq!(f.probe(alias), Verdict::NotCached);
     }
 
@@ -424,7 +337,7 @@ mod tests {
         let cached = UnitAddr::new(0x42);
         let alias = UnitAddr::new(0x42 | (1 << 34));
         f.on_allocate(cached);
-        f.record_snoop_miss(alias, MissScope::Block);
+        snoop_miss(&mut f, alias, MissScope::Block);
         assert_eq!(f.probe(alias), Verdict::NotCached);
         // The alias itself gets cached: EJ record must die, and IJ now has
         // both aliases pinned.
@@ -467,7 +380,7 @@ mod tests {
         let cached = UnitAddr::new(0x0BAD_CAFE);
         let alias = UnitAddr::new(0x0BAD_CAFE | (1 << 34));
         f.on_allocate(cached);
-        f.record_snoop_miss(alias, MissScope::Block);
+        snoop_miss(&mut f, alias, MissScope::Block);
         assert_eq!(f.probe(alias), Verdict::NotCached);
     }
 
@@ -483,7 +396,7 @@ mod tests {
                 h.on_allocate(u);
                 standalone.on_allocate(u);
             } else {
-                h.record_snoop_miss(u, MissScope::Block);
+                snoop_miss(&mut h, u, MissScope::Block);
             }
         }
         for &u in &units {

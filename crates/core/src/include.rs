@@ -20,7 +20,7 @@
 use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
-use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::filter::{self, ArraySpec, FilterActivity, FilterEvent, SnoopFilter};
 use crate::kernels;
 
 /// Configuration for an [`IncludeJetty`], the paper's `IJ-ExNxS` naming:
@@ -152,12 +152,12 @@ pub struct IncludeJetty {
     /// Per-sub-array p-bit write counts returned by the replay kernel
     /// (one slot per sub-array, zeroed before each call).
     scratch_writes: Vec<u64>,
-    /// `on_allocate` calls since the last reset. Every allocate performs
+    /// Allocate events since the last reset. Every allocate performs
     /// exactly one counter read-modify-write per sub-array, so that
     /// uniform activity is derived in `activity()` instead of bumped per
     /// event (same deferral as the per-probe p-bit reads).
     allocates: u64,
-    /// `on_deallocate` calls since the last reset (same uniform-charge
+    /// Deallocate events since the last reset (same uniform-charge
     /// deferral as `allocates`).
     deallocates: u64,
     activity: FilterActivity,
@@ -226,20 +226,6 @@ impl IncludeJetty {
         ((i as usize) << self.config.index_bits) | idx
     }
 
-    /// Reads the packed presence bit for a flat slot.
-    fn pbit(&self, slot: usize) -> bool {
-        self.pbits[slot >> 6] & (1u64 << (slot & 63)) != 0
-    }
-
-    /// Writes the packed presence bit for a flat slot.
-    fn set_pbit(&mut self, slot: usize, set: bool) {
-        if set {
-            self.pbits[slot >> 6] |= 1u64 << (slot & 63);
-        } else {
-            self.pbits[slot >> 6] &= !(1u64 << (slot & 63));
-        }
-    }
-
     fn pbit_slot(i: u32) -> usize {
         2 * i as usize
     }
@@ -248,59 +234,47 @@ impl IncludeJetty {
         2 * i as usize + 1
     }
 
-    /// Reads the p-bits for `addr` without counting a snoop probe (used by
-    /// the hybrid's eager ablation to establish whole-block absence).
-    /// Charges the p-bit array reads it performs.
-    pub fn guarantees_absent(&mut self, addr: UnitAddr) -> bool {
-        for i in 0..self.config.sub_arrays {
-            self.activity.arrays[Self::pbit_slot(i)].reads += 1;
-            let idx = self.index(i, addr);
-            if !self.pbit(self.flat_slot(i, idx)) {
-                return true;
+    /// Whether every unit of `addr`'s block is guaranteed absent — the
+    /// eager-ablation hybrid's test for recording an IJ-filtered snoop at
+    /// block grain. Units are tested in address order, each reading its
+    /// sub-arrays' p-bits up to the first clear one, and the test stops at
+    /// the first unit that may be cached. With `charge` set, those p-bit
+    /// reads are added to this filter's activity; no snoop probe is
+    /// counted either way.
+    pub(crate) fn block_absent(&mut self, addr: UnitAddr, charge: bool) -> bool {
+        let block_units = 1u64 << self.space.block_unit_shift();
+        let base = addr.raw() & !(block_units - 1);
+        let IncludeConfig { index_bits, sub_arrays, skip, .. } = self.config;
+        for off in 0..block_units {
+            let clear =
+                kernels::first_clear_pbit(&self.pbits, base | off, index_bits, sub_arrays, skip);
+            if charge {
+                let read = clear.map_or(sub_arrays, |i| i + 1);
+                for i in 0..read {
+                    self.activity.arrays[Self::pbit_slot(i)].reads += 1;
+                }
+            }
+            if clear.is_none() {
+                return false;
             }
         }
-        false
+        true
     }
 
-    /// Replays a node's deferred event list through this filter — exactly
-    /// equivalent to the substrate's eager per-snoop sequence, with the
-    /// probe/filtered counters accumulated in registers and the packed
-    /// p-bit bitmap cache-resident across the batch. IJ ignores
-    /// `record_snoop_miss`, so unfiltered misses need no replay work; the
-    /// safety assertion fires exactly as in the eager path. `node` only
-    /// labels the panic.
-    ///
-    /// The event chunk goes to a single [`kernels::ij_replay`] call
-    /// as-is (no gather pass): snoops test the packed p-bit bitmap,
-    /// allocate/deallocate counter read-modify-writes run in event order
-    /// inside the kernel.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        // Standalone IJ needs no per-event verdicts — only the hybrid's
-        // EJ pass consumes them — so skip the recording entirely.
-        let out = self.replay_events(events, None);
-        if let Some(bad) = out.unsafe_at {
-            let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                unreachable!("unsafe_at always indexes a snoop event");
-            };
-            panic!(
-                "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                self.name()
-            );
-        }
-    }
-
-    /// Replays one [`crate::FilterEvent`] chunk through a single
-    /// [`kernels::ij_replay`] call. With `verdicts: Some`, one verdict
-    /// per event is pushed (cleared first; `true` only for IJ-filtered
-    /// snoops — the hybrid's EJ pass consumes the parallel slice); the
-    /// standalone batch path passes `None` and skips the recording. The
-    /// kernel's counters fold into this filter's activity: probe and
-    /// counter-RMW counts are uniform charges, the data-dependent
-    /// per-sub-array p-bit writes come back through `scratch_writes`.
-    /// The caller owns the unsafe-filter panic.
+    /// Replays one [`FilterEvent`] chunk through a single
+    /// [`kernels::ij_replay`] call, as-is (no gather pass): snoops test
+    /// the packed p-bit bitmap, allocate/deallocate counter
+    /// read-modify-writes run in event order inside the kernel. With
+    /// `verdicts: Some`, one verdict per event is pushed (cleared first;
+    /// `true` only for IJ-filtered snoops — the hybrid's EJ pass consumes
+    /// the parallel slice); the standalone path passes `None` and skips
+    /// the recording. The kernel's counters fold into this filter's
+    /// activity: probe and counter-RMW counts are uniform charges, the
+    /// data-dependent per-sub-array p-bit writes come back through
+    /// `scratch_writes`. The caller owns the unsafe-filter panic.
     pub(crate) fn replay_events(
         &mut self,
-        events: &[crate::FilterEvent],
+        events: &[FilterEvent],
         mut verdicts: Option<&mut Vec<bool>>,
     ) -> kernels::IjReplayOut {
         if let Some(v) = verdicts.as_deref_mut() {
@@ -326,95 +300,18 @@ impl IncludeJetty {
         self.activity.filtered += out.filtered;
         out
     }
-
-    /// Batched [`probe`](SnoopFilter::probe) over a run of raw snoop unit
-    /// addresses, appending one absent/present verdict per unit to
-    /// `absent` — used by the hybrid's batched replay. Counts probes and
-    /// filtered snoops exactly as per-event `probe` calls would.
-    pub fn probe_many(&mut self, units: &[u64], absent: &mut Vec<bool>) {
-        let start = absent.len();
-        kernels::pbit_test_many(
-            &self.pbits,
-            units,
-            self.config.index_bits,
-            self.config.sub_arrays,
-            self.config.skip,
-            absent,
-        );
-        self.activity.probes += units.len() as u64;
-        self.activity.filtered += absent[start..].iter().filter(|&&a| a).count() as u64;
-    }
 }
 
 impl SnoopFilter for IncludeJetty {
-    fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        self.activity.probes += 1;
-        // A snoop reads one row of each p-bit array, in parallel.
+    fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64 {
         // A snoop reads one row of each p-bit array, in parallel; that
-        // uniform read (one per array per probe) is derived from `probes`
-        // in `activity()` rather than bumped per sub-array here — which
-        // also lets the software loop exit on the first clear p-bit (the
-        // hardware reads all N rows in parallel either way, and the
-        // energy charge stays N reads regardless).
-        for i in 0..self.config.sub_arrays {
-            let idx = self.index(i, addr);
-            if !self.pbit(self.flat_slot(i, idx)) {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
-    }
-
-    fn record_snoop_miss(&mut self, _addr: UnitAddr, _scope: MissScope) {
-        // IJ state is driven purely by cache contents; snoop misses carry no
-        // information for it.
-    }
-
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        // The counter read-modify-write per sub-array is uniform (exactly
-        // one per allocate) and is charged via `allocates` in `activity()`;
-        // only the data-dependent p-bit 0 -> 1 writes are counted here.
-        self.allocates += 1;
-        for i in 0..self.config.sub_arrays {
-            let idx = self.index(i, addr);
-            let slot = self.flat_slot(i, idx);
-            let count = &mut self.counts[slot];
-            assert!(
-                *count < u16::MAX,
-                "IJ counter saturated in sub-array {i} entry {idx}: cache population \
-                 exceeds the u16 counter range for this configuration"
-            );
-            let was_zero = *count == 0;
-            *count += 1;
-            if was_zero {
-                // The p-bit transitions 0 -> 1.
-                self.activity.arrays[Self::pbit_slot(i)].writes += 1;
-                self.set_pbit(slot, true);
-            }
-        }
-    }
-
-    fn on_deallocate(&mut self, addr: UnitAddr) {
-        // Uniform counter RMWs deferred via `deallocates`, as in
-        // `on_allocate`.
-        self.deallocates += 1;
-        for i in 0..self.config.sub_arrays {
-            let idx = self.index(i, addr);
-            let slot = self.flat_slot(i, idx);
-            let count = &mut self.counts[slot];
-            assert!(
-                *count > 0,
-                "IJ counter underflow in sub-array {i} entry {idx}: \
-                 deallocate without matching allocate (protocol bug)"
-            );
-            *count -= 1;
-            let now_zero = *count == 0;
-            if now_zero {
-                self.activity.arrays[Self::pbit_slot(i)].writes += 1;
-                self.set_pbit(slot, false);
-            }
-        }
+        // uniform read is derived from `probes` in `activity()`, which
+        // also lets the kernel exit on the first clear p-bit (the energy
+        // charge stays N reads regardless). Standalone IJ needs no
+        // per-event verdicts — only the hybrid's EJ pass consumes them.
+        let out = self.replay_events(events, None);
+        filter::assert_safe(self, events, out.unsafe_at, node);
+        out.filtered
     }
 
     fn arrays(&self) -> Vec<ArraySpec> {
@@ -462,6 +359,8 @@ impl SnoopFilter for IncludeJetty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::snoop_miss;
+    use crate::{MissScope, Verdict};
 
     fn ij(e: u32, n: u32, s: u32) -> IncludeJetty {
         IncludeJetty::new(IncludeConfig::new(e, n, s), AddrSpace::default())
@@ -543,7 +442,7 @@ mod tests {
         let mut f = ij(8, 4, 7);
         let u = UnitAddr::new(77);
         f.on_allocate(u);
-        f.record_snoop_miss(u, MissScope::Block);
+        snoop_miss(&mut f, u, MissScope::Block);
         assert_eq!(f.probe(u), Verdict::MaybeCached);
     }
 

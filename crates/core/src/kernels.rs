@@ -6,22 +6,22 @@
 //! scratch copy: the kernel consumes the event array in place, splits
 //! addresses with the filter's [`EjGeom`]/[`VejGeom`] shift/mask
 //! geometry as it goes, and fuses find + probe + record around a single
-//! lookup per snoop. Each kernel is one portable loop written exactly
-//! like the eager filter code it batches (order of comparisons,
-//! lowest-index match selection, early exits), and the EJ/VEJ way scans
-//! are the very functions the filters' own `find` calls, so the eager
-//! and batched paths cannot drift apart.
+//! lookup per snoop. Each kernel is the one body of its filter family's
+//! per-event logic: a filter's one-event calls (`probe`, `on_allocate`,
+//! `on_deallocate`) replay a single event through the same kernel, so
+//! there is no second path to drift from. The reference models in
+//! `jetty-core`'s `reference_models` tests check each kernel against a
+//! naive implementation of the paper's structures.
 //!
 //! # Why the way scans need no empty-way masking
 //!
 //! EJ keys (`tag << 1 | present`) and VEJ tags mark never-used ways with
 //! the all-ones sentinel (`u64::MAX`). Real tags are bounded by the
 //! address space (at most ~34 bits), so a sentinel can never compare
-//! equal to a probe tag. Likewise IJ's packed p-bit bitmap and the L2
-//! hot-record array are plain dense arrays indexed by masked address
-//! bits, so every index stays in bounds by construction — asserted once
-//! per call in the entry points below, which are the kernels' input
-//! checks.
+//! equal to a probe tag. Likewise IJ's packed p-bit bitmap is a plain
+//! dense array indexed by masked address bits, so every index stays in
+//! bounds by construction — asserted once per call in the entry points
+//! below, which are the kernels' input checks.
 
 // Kernel signatures pass the filter geometry as flat scalars (shifts,
 // masks, widths) rather than bundling them into structs: the arguments
@@ -83,7 +83,7 @@ pub struct ReplayOut {
     /// Index (into the event chunk) of the first snoop whose union
     /// verdict filtered a `would_hit` event — an unsafe-filter bug the
     /// caller must turn into the standard panic (the kernel stops
-    /// there, exactly where the eager path would have panicked).
+    /// there, leaving the state of every earlier event applied).
     pub unsafe_at: Option<usize>,
 }
 
@@ -109,8 +109,7 @@ pub struct IjReplayOut {
 
 /// Lowest way index in one Exclude-Jetty set window `keys` whose key
 /// matches `tag` (`key >> 1 == tag`; the all-ones empty key can never
-/// match a real tag). Shared by `ExcludeJetty`'s eager find and
-/// [`ej_replay`].
+/// match a real tag), used by [`ej_replay`].
 ///
 /// The scan is branchless — every way is compared and the match
 /// selected with a conditional move — because the matching way's
@@ -119,7 +118,7 @@ pub struct IjReplayOut {
 /// unique within a set (records only insert after a failed find), so
 /// scan order cannot change the answer.
 #[inline]
-pub(crate) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
+fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
     let mut found = usize::MAX;
     for (way, &k) in keys.iter().enumerate().rev() {
         if k >> 1 == tag {
@@ -130,11 +129,11 @@ pub(crate) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
 }
 
 /// Lowest way index in one Vector-Exclude-Jetty set window `tags` equal
-/// to `tag` (the all-ones empty tag can never match a real chunk tag).
-/// Shared by `VectorExcludeJetty`'s eager find and [`vej_replay`];
-/// branchless for the same reason as [`find_key_ej`].
+/// to `tag` (the all-ones empty tag can never match a real chunk tag),
+/// used by [`vej_replay`]; branchless for the same reason as
+/// [`find_key_ej`].
 #[inline]
-pub(crate) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
+fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
     let mut found = usize::MAX;
     for (way, &t) in tags.iter().enumerate().rev() {
         if t == tag {
@@ -146,10 +145,10 @@ pub(crate) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
 
 /// Replays one [`FilterEvent`] chunk against an Exclude-Jetty's flat
 /// `keys`/`stamps` arrays, splitting each unit address with `geom` as
-/// it goes — bit-for-bit the logic of the eager probe + record
-/// sequence. Per snoop: find the way (lowest match), stamp the LRU
+/// it goes — a probe fused with the record of an unfiltered miss. Per
+/// snoop: find the way (lowest match), stamp the LRU
 /// clock on a hit, count the filtered/union-filtered snoop (stopping at
-/// the first unsafe one, where the eager path would have panicked), set
+/// the first unsafe one), set
 /// the present bit or insert via a first-minimum victim scan on
 /// recordable misses that nothing filtered. Per allocate: find + clear
 /// the present bit (counted in [`ReplayOut::writes`]). A deallocate
@@ -345,10 +344,9 @@ pub fn vej_replay(
 }
 
 /// Way index of the least recently stamped entry in one set's LRU
-/// `stamps` (the first minimum). Shared by the EJ/VEJ replay kernels and
-/// the filters' eager `record_snoop_miss`.
+/// `stamps` (the first minimum). Shared by the EJ/VEJ replay kernels.
 #[inline]
-pub(crate) fn lru_victim(stamps: &[u64]) -> usize {
+fn lru_victim(stamps: &[u64]) -> usize {
     let mut victim = 0;
     let mut oldest = stamps[0];
     for (w, &st) in stamps.iter().enumerate().skip(1) {
@@ -360,31 +358,38 @@ pub(crate) fn lru_victim(stamps: &[u64]) -> usize {
     victim
 }
 
-/// `true` when any of the `sub_arrays` Include-Jetty p-bits selected by
-/// `unit` is clear (the unit is guaranteed absent). Sub-array `i` is
+/// The lowest sub-array whose Include-Jetty p-bit selected by `unit` is
+/// clear (`Some` means the unit is guaranteed absent). Sub-array `i` is
 /// indexed by bits `[i*skip, i*skip + index_bits)` of the unit address;
 /// entry `idx` of sub-array `i` lives at packed bit `(i << index_bits) |
-/// idx` of `pbits`. The early exit on the first clear bit matches
-/// `IncludeJetty::probe`; the observable outcome (and the uniform energy
-/// charge derived from probe counts) is identical either way.
+/// idx` of `pbits`. The hardware reads all N rows in parallel; exiting
+/// on the first clear bit changes neither the verdict nor the uniform
+/// per-probe energy charge, and tells the eager-ablation hybrid's block
+/// test how many rows it read.
 #[inline]
-fn pbit_absent(pbits: &[u64], unit: u64, index_bits: u32, sub_arrays: u32, skip: u32) -> bool {
+pub(crate) fn first_clear_pbit(
+    pbits: &[u64],
+    unit: u64,
+    index_bits: u32,
+    sub_arrays: u32,
+    skip: u32,
+) -> Option<u32> {
     let mask = (1u64 << index_bits) - 1;
     for i in 0..sub_arrays {
         let lo = i * skip;
         let idx = if lo >= 64 { 0 } else { (unit >> lo) & mask };
         let slot = ((i as usize) << index_bits) | idx as usize;
         if pbits[slot >> 6] & (1u64 << (slot & 63)) == 0 {
-            return true;
+            return Some(i);
         }
     }
-    false
+    None
 }
 
 /// One Include-Jetty allocate: per sub-array, the counter
 /// read-modify-write plus the data-dependent p-bit `0 -> 1` transition,
-/// counted into `pbit_writes[sub_array]`. Identical sequence (including
-/// the saturation assert) to `IncludeJetty::on_allocate`.
+/// counted into `pbit_writes[sub_array]`. The counter read-modify-write
+/// itself is a uniform charge the caller derives from event counts.
 fn ij_allocate(
     counts: &mut [u16],
     pbits: &mut [u64],
@@ -415,8 +420,8 @@ fn ij_allocate(
 }
 
 /// One Include-Jetty deallocate: the [`ij_allocate`] sequence in reverse
-/// (counter decrement, p-bit `1 -> 0` on the last departure), with the
-/// same underflow assert as `IncludeJetty::on_deallocate`.
+/// (counter decrement, p-bit `1 -> 0` on the last departure), asserting
+/// against underflow.
 fn ij_deallocate(
     counts: &mut [u16],
     pbits: &mut [u64],
@@ -467,8 +472,7 @@ fn ij_deallocate(
 /// Panics unless `sub_arrays >= 1`, `index_bits < 32`, `counts` holds
 /// exactly `sub_arrays << index_bits` entries covered by `pbits`, and
 /// `pbit_writes` has one slot per sub-array. Also panics on counter
-/// saturation/underflow, exactly like the eager allocate/deallocate
-/// paths.
+/// saturation/underflow.
 pub fn ij_replay(
     counts: &mut [u16],
     pbits: &mut [u64],
@@ -532,7 +536,8 @@ fn ij_replay_impl<const RECORD: bool>(
         match *e {
             FilterEvent::Snoop { unit, would_hit, .. } => {
                 out.probes += 1;
-                let absent = pbit_absent(pbits, unit.raw(), index_bits, sub_arrays, skip);
+                let absent =
+                    first_clear_pbit(pbits, unit.raw(), index_bits, sub_arrays, skip).is_some();
                 if RECORD {
                     verdicts.push(absent);
                 }
@@ -560,94 +565,4 @@ fn ij_replay_impl<const RECORD: bool>(
         }
     }
     out
-}
-
-/// Batch-tests IJ's packed p-bit bitmap for a run of snoop unit
-/// addresses, appending one `bool` per unit to `absent` (`true` = some
-/// selected p-bit is clear, i.e. the unit is guaranteed absent).
-/// Sub-array `i` is indexed by bits `[i*skip, i*skip + index_bits)` of
-/// the unit; its entry `idx` lives at packed bit `(i << index_bits) |
-/// idx` of `pbits`.
-///
-/// # Panics
-///
-/// Panics unless `sub_arrays >= 1`, `index_bits < 32`, and `pbits`
-/// holds all `sub_arrays << index_bits` bits.
-pub fn pbit_test_many(
-    pbits: &[u64],
-    units: &[u64],
-    index_bits: u32,
-    sub_arrays: u32,
-    skip: u32,
-    absent: &mut Vec<bool>,
-) {
-    assert!(sub_arrays >= 1, "IJ needs at least one sub-array");
-    assert!(index_bits < 32, "IJ index width out of range");
-    assert!(
-        pbits.len() * 64 >= (sub_arrays as usize) << index_bits,
-        "p-bit bitmap too small for {sub_arrays} sub-arrays of 2^{index_bits} entries"
-    );
-    for &u in units {
-        absent.push(pbit_absent(pbits, u, index_bits, sub_arrays, skip));
-    }
-}
-
-/// Flag byte for one L2 snoop probe: bit 0 = the resident block's tag
-/// matches and at least one subblock is valid (`block_present`), bit 1 =
-/// the snooped subblock itself is valid (implies bit 0).
-pub const L2_BLOCK_PRESENT: u8 = 1;
-/// See [`L2_BLOCK_PRESENT`]: the snooped subblock is valid.
-pub const L2_SUB_VALID: u8 = 2;
-
-/// Low 8 bits of an L2 hot record's meta half: the packed valid bitmask
-/// (bit `sub` ⇔ subblock `sub` valid).
-pub const L2_META_VALID_MASK: u64 = 0xFF;
-
-/// One L2 snoop probe over the compacted hot array — one 16-byte
-/// record load (tag in the low half, valid mask + packed states in the
-/// high half) instead of two separate array reads.
-#[inline]
-fn l2_probe(hot: &[u128], unit: u64, sub_bits: u32, index_bits: u32) -> u8 {
-    let sub = unit & ((1u64 << sub_bits) - 1);
-    let block_addr = unit >> sub_bits;
-    let idx = (block_addr & ((1u64 << index_bits) - 1)) as usize;
-    let tag = block_addr >> index_bits;
-    let rec = hot[idx];
-    let mask = ((rec >> 64) as u64) & L2_META_VALID_MASK;
-    let block_present = mask != 0 && rec as u64 == tag;
-    let mut flags = 0u8;
-    if block_present {
-        flags |= L2_BLOCK_PRESENT;
-        if mask & (1u64 << sub) != 0 {
-            flags |= L2_SUB_VALID;
-        }
-    }
-    flags
-}
-
-/// Batch L2 snoop probe over the compacted hot array (one `u128` record
-/// per set: tag in the low 64 bits, valid mask + packed state nibbles
-/// in the high 64), appending one flag byte per unit to `out`
-/// ([`L2_BLOCK_PRESENT`] / [`L2_SUB_VALID`]). One 16-byte record load
-/// answers both snoop questions, so a probe touches a single cache
-/// line instead of two separate arrays.
-///
-/// # Panics
-///
-/// Panics unless `sub_bits <= 3` (the valid mask is the low 8 bits of
-/// the record's meta half), `index_bits < 48`, and `hot` holds
-/// `1 << index_bits` records.
-pub fn snoop_probe_many(
-    hot: &[u128],
-    units: &[u64],
-    sub_bits: u32,
-    index_bits: u32,
-    out: &mut Vec<u8>,
-) {
-    assert!(sub_bits <= 3, "valid mask is eight bits of the hot record's meta half");
-    assert!(index_bits < 48, "L2 index width out of range");
-    assert!(hot.len() >= 1usize << index_bits, "L2 hot array smaller than the index space");
-    for &u in units {
-        out.push(l2_probe(hot, u, sub_bits, index_bits));
-    }
 }

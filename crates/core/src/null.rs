@@ -3,8 +3,7 @@
 //! tests (a `NullFilter` system must behave identically to one with no
 //! filter at all).
 
-use crate::addr::UnitAddr;
-use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::filter::{ArraySpec, FilterActivity, FilterEvent, SnoopFilter};
 
 /// A filter that never filters. Baseline for coverage and energy
 /// comparisons.
@@ -28,28 +27,17 @@ impl NullFilter {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Replays a node's deferred event list: a null filter only counts the
-    /// snoop probes (it never filters and ignores every other event), so
-    /// the whole batch reduces to one counter addition.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent]) {
-        self.probes +=
-            events.iter().filter(|ev| matches!(ev, crate::FilterEvent::Snoop { .. })).count()
-                as u64;
-    }
 }
 
 impl SnoopFilter for NullFilter {
-    fn probe(&mut self, _addr: UnitAddr) -> Verdict {
-        self.probes += 1;
-        Verdict::MaybeCached
+    /// A null filter only counts the snoop probes (it never filters and
+    /// ignores every other event), so the whole batch reduces to one
+    /// counter addition.
+    fn apply_batch(&mut self, events: &[FilterEvent], _node: usize) -> u64 {
+        self.probes +=
+            events.iter().filter(|ev| matches!(ev, FilterEvent::Snoop { .. })).count() as u64;
+        0
     }
-
-    fn record_snoop_miss(&mut self, _addr: UnitAddr, _scope: MissScope) {}
-
-    fn on_allocate(&mut self, _addr: UnitAddr) {}
-
-    fn on_deallocate(&mut self, _addr: UnitAddr) {}
 
     fn arrays(&self) -> Vec<ArraySpec> {
         Vec::new()
@@ -71,6 +59,8 @@ impl SnoopFilter for NullFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::snoop_miss;
+    use crate::{MissScope, UnitAddr, Verdict};
 
     #[test]
     fn never_filters_and_has_no_storage() {
@@ -78,12 +68,12 @@ mod tests {
         for i in 0..10 {
             assert_eq!(f.probe(UnitAddr::new(i)), Verdict::MaybeCached);
         }
-        f.record_snoop_miss(UnitAddr::new(0), MissScope::Block);
+        snoop_miss(&mut f, UnitAddr::new(0), MissScope::Block);
         f.on_allocate(UnitAddr::new(0));
         f.on_deallocate(UnitAddr::new(0));
         assert_eq!(f.probe(UnitAddr::new(0)), Verdict::MaybeCached);
         let act = f.activity();
-        assert_eq!(act.probes, 11);
+        assert_eq!(act.probes, 12);
         assert_eq!(act.filtered, 0);
         assert_eq!(f.storage_bits(), 0);
         assert_eq!(f.name(), "none");

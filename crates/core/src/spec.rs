@@ -6,9 +6,9 @@
 
 use std::fmt;
 
-use crate::addr::{AddrSpace, UnitAddr};
+use crate::addr::AddrSpace;
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
-use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::filter::{ArraySpec, FilterActivity, FilterEvent, SnoopFilter};
 use crate::hybrid::{EjAllocation, ExcludePart, HybridConfig, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
 use crate::null::NullFilter;
@@ -99,7 +99,7 @@ impl FilterSpec {
 
     /// Builds a fresh filter instance as an [`AnyFilter`] value (no heap
     /// box, no vtable): the representation the simulator's per-node banks
-    /// store, so every per-snoop probe is a direct, inlinable call on
+    /// store, so every chunk replay is a direct, inlinable call on
     /// contiguous memory.
     pub fn build_any(&self, space: AddrSpace) -> AnyFilter {
         match *self {
@@ -308,14 +308,14 @@ impl fmt::Display for FilterSpec {
 
 /// A concrete filter instance behind an enum instead of a `dyn` box.
 ///
-/// The simulator probes every filter of every node's bank on every snoop;
-/// storing banks as `Vec<AnyFilter>` keeps the filter states in one
-/// contiguous allocation and turns each probe into a statically-dispatched
+/// The simulator replays every filter of every node's bank once per
+/// chunk; storing banks as `Vec<AnyFilter>` keeps the filter states in one
+/// contiguous allocation and turns each replay into a statically-dispatched
 /// (and inlinable) call — the `Box<dyn SnoopFilter>` route pays a pointer
-/// chase plus an indirect call per event. `AnyFilter` itself implements
+/// chase plus an indirect call per filter. `AnyFilter` itself implements
 /// [`SnoopFilter`], so generic code works with either representation.
 // The size spread between variants is deliberate: banks store filters by
-// value precisely to avoid the per-probe pointer chase a boxed large
+// value precisely to avoid the per-replay pointer chase a boxed large
 // variant would reintroduce, and banks are small (tens of filters).
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
@@ -345,46 +345,14 @@ macro_rules! dispatch {
     };
 }
 
-impl AnyFilter {
-    /// Replays a node's deferred event list ([`crate::FilterEvent`])
-    /// through this filter — the batched twin of the substrate's eager
-    /// per-snoop calls. The variant match is hoisted *outside* the event
-    /// loop: one filter's arrays stay cache-resident across thousands of
-    /// events instead of a whole bank thrashing per snoop, which is the
-    /// point of batching. `node` only labels the filter-safety panic.
-    /// The null filter has no kernel path (its replay is a counter
-    /// bump).
-    #[inline]
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        match self {
-            AnyFilter::Null(inner) => inner.apply_batch(events),
-            AnyFilter::Exclude(inner) => inner.apply_batch(events, node),
-            AnyFilter::VectorExclude(inner) => inner.apply_batch(events, node),
-            AnyFilter::Include(inner) => inner.apply_batch(events, node),
-            AnyFilter::Hybrid(inner) => inner.apply_batch(events, node),
-        }
-    }
-}
-
 impl SnoopFilter for AnyFilter {
+    /// Replays a node's event list through this filter. The variant match
+    /// is hoisted *outside* the event loop: one filter's arrays stay
+    /// cache-resident across thousands of events instead of a whole bank
+    /// thrashing per snoop, which is the point of batching.
     #[inline]
-    fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        dispatch!(self, probe(addr))
-    }
-
-    #[inline]
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        dispatch!(self, record_snoop_miss(addr, scope))
-    }
-
-    #[inline]
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        dispatch!(self, on_allocate(addr))
-    }
-
-    #[inline]
-    fn on_deallocate(&mut self, addr: UnitAddr) {
-        dispatch!(self, on_deallocate(addr))
+    fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64 {
+        dispatch!(self, apply_batch(events, node))
     }
 
     fn arrays(&self) -> Vec<ArraySpec> {

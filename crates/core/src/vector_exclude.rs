@@ -17,8 +17,8 @@
 
 use std::fmt;
 
-use crate::addr::{AddrSpace, UnitAddr};
-use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::addr::AddrSpace;
+use crate::filter::{self, ArraySpec, FilterActivity, FilterEvent, SnoopFilter};
 use crate::kernels::{self, VejGeom};
 
 /// Configuration for a [`VectorExcludeJetty`], the paper's `VEJ-SxA-V`
@@ -83,15 +83,17 @@ const EMPTY_TAG: u64 = u64::MAX;
 /// # Examples
 ///
 /// ```
-/// use jetty_core::{AddrSpace, MissScope, SnoopFilter, UnitAddr, Verdict, VectorExcludeConfig,
-///                  VectorExcludeJetty};
+/// use jetty_core::{AddrSpace, FilterEvent, MissScope, SnoopFilter, UnitAddr, Verdict,
+///                  VectorExcludeConfig, VectorExcludeJetty};
 ///
 /// let cfg = VectorExcludeConfig::new(8, 2, 4);
 /// let mut vej = VectorExcludeJetty::new(cfg, AddrSpace::default());
 ///
-/// // Blocks 100 and 101 (units 200/202) share one chunk with V = 4.
-/// vej.record_snoop_miss(UnitAddr::new(200), MissScope::Block);
-/// vej.record_snoop_miss(UnitAddr::new(202), MissScope::Block);
+/// // Blocks 100 and 101 (units 200/202) share one chunk with V = 4; two
+/// // snoops that miss both whole blocks teach both lanes.
+/// let miss = |u| FilterEvent::Snoop { unit: UnitAddr::new(u), would_hit: false,
+///                                     scope: MissScope::Block };
+/// vej.apply_batch(&[miss(200), miss(202)], 0);
 /// assert_eq!(vej.probe(UnitAddr::new(200)), Verdict::NotCached);
 /// assert_eq!(vej.probe(UnitAddr::new(201)), Verdict::NotCached); // sibling subblock
 /// assert_eq!(vej.probe(UnitAddr::new(202)), Verdict::NotCached);
@@ -113,10 +115,10 @@ pub struct VectorExcludeJetty {
     /// stamped).
     stamps: Vec<u64>,
     clock: u64,
-    /// Block-scope `record_snoop_miss` calls since the last reset (each is
-    /// exactly one tag write, charged in `activity()`).
+    /// Snoop misses recorded since the last reset (each is exactly one
+    /// tag write, charged in `activity()`).
     records: u64,
-    /// `on_allocate` calls since the last reset (each is exactly one tag
+    /// Allocate events since the last reset (each is exactly one tag
     /// read, charged in `activity()`).
     allocates: u64,
     activity: FilterActivity,
@@ -168,65 +170,9 @@ impl VectorExcludeJetty {
         self.space.block_bits().saturating_sub(self.lane_bits()).saturating_sub(self.set_bits())
     }
 
-    /// Splits a unit address into (set, tag, lane).
-    fn split(&self, addr: UnitAddr) -> (usize, u64, u32) {
-        let block = self.space.block_of_unit(addr);
-        let lane = (block as u32) & (self.config.vector_len as u32 - 1);
-        let chunk = block >> self.lane_bits();
-        let set = (chunk as usize) & (self.config.sets - 1);
-        let tag = chunk >> self.set_bits();
-        (set, tag, lane)
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn tag_array(&mut self) -> &mut ArrayActivity {
-        &mut self.activity.arrays[0]
-    }
-
-    /// The contiguous slice of ways backing `set`.
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        let base = set * self.config.ways;
-        base..base + self.config.ways
-    }
-
-    /// Flat index of the way holding `tag` in `set`, if any. Scans tags
-    /// only ([`EMPTY_TAG`] can never alias a real chunk tag), with the
-    /// same way scan the replay kernel runs ([`kernels::find_key_vej`]).
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let range = self.set_range(set);
-        let base = range.start;
-        kernels::find_key_vej(&self.tags[range], tag).map(|way| base + way)
-    }
-
-    /// Replays a node's deferred event list through this filter — exactly
-    /// equivalent to the substrate's eager per-snoop sequence (see
-    /// [`ExcludeJetty::apply_batch`](crate::ExcludeJetty::apply_batch)),
-    /// with counters accumulated in registers and the tag/vector/stamp
-    /// arrays cache-resident across the batch. `node` only labels the
-    /// safety panic.
-    ///
-    /// The event chunk goes to a single [`kernels::vej_replay`] call
-    /// as-is (no gather pass; the kernel splits each address with this
-    /// filter's [`VejGeom`]).
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        let out = self.replay_events(events, &[]);
-        if let Some(bad) = out.unsafe_at {
-            let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                unreachable!("unsafe_at always indexes a snoop event");
-            };
-            panic!(
-                "UNSAFE FILTER: VEJ-{}x{}-{} filtered a snoop to cached unit {unit} on node {node}",
-                self.config.sets, self.config.ways, self.config.vector_len
-            );
-        }
-    }
-
-    /// The address-split geometry handed to the replay kernel; encodes
-    /// exactly the [`split`](VectorExcludeJetty::split) computation.
+    /// The address-split geometry handed to the replay kernel: the low
+    /// `lane_bits` of a block address pick the present-vector lane, the
+    /// next `set_bits` the set, and the rest is the tag.
     fn geom(&self) -> VejGeom {
         VejGeom {
             block_shift: self.space.block_unit_shift(),
@@ -237,13 +183,13 @@ impl VectorExcludeJetty {
         }
     }
 
-    /// Replays one [`crate::FilterEvent`] chunk through a single
-    /// [`kernels::vej_replay`] call; counter mapping exactly as in
-    /// [`ExcludeJetty::replay_events`](crate::ExcludeJetty) (the caller
-    /// owns the unsafe-filter panic).
+    /// Replays one [`FilterEvent`] chunk through a single
+    /// [`kernels::vej_replay`] call, as-is (no gather pass); counter
+    /// mapping exactly as in [`ExcludeJetty`](crate::ExcludeJetty)'s
+    /// replay (the caller owns the unsafe-filter panic).
     pub(crate) fn replay_events(
         &mut self,
-        events: &[crate::FilterEvent],
+        events: &[FilterEvent],
         ij_filtered: &[bool],
     ) -> kernels::ReplayOut {
         let geom = self.geom();
@@ -268,57 +214,10 @@ impl VectorExcludeJetty {
 }
 
 impl SnoopFilter for VectorExcludeJetty {
-    fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        // As in `ExcludeJetty::probe`: the one tag read per probe is
-        // derived from `probes` in `activity()`, off the hot path.
-        self.activity.probes += 1;
-        let (set, tag, lane) = self.split(addr);
-        if let Some(slot) = self.find(set, tag) {
-            // Tick only when a stamp is assigned (see `ExcludeJetty::probe`
-            // — assignment order, and therefore LRU, is unchanged).
-            self.stamps[slot] = self.tick();
-            if self.vectors[slot] & (1u64 << lane) != 0 {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
-    }
-
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        if scope != MissScope::Block {
-            return;
-        }
-        // Exactly one tag write per recorded miss, deferred to `activity()`.
-        self.records += 1;
-        let (set, tag, lane) = self.split(addr);
-        let stamp = self.tick();
-        if let Some(slot) = self.find(set, tag) {
-            self.vectors[slot] |= 1u64 << lane;
-            self.stamps[slot] = stamp;
-        } else {
-            let range = self.set_range(set);
-            let victim = range.start + kernels::lru_victim(&self.stamps[range]);
-            self.tags[victim] = tag;
-            self.vectors[victim] = 1u64 << lane;
-            self.stamps[victim] = stamp;
-        }
-    }
-
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        // Exactly one tag read per call, deferred to `activity()`.
-        self.allocates += 1;
-        let (set, tag, lane) = self.split(addr);
-        if let Some(slot) = self.find(set, tag) {
-            if self.vectors[slot] & (1u64 << lane) != 0 {
-                self.vectors[slot] &= !(1u64 << lane);
-                self.tag_array().writes += 1;
-            }
-        }
-    }
-
-    fn on_deallocate(&mut self, _addr: UnitAddr) {
-        // Same reasoning as EJ: losing a unit never invalidates a record.
+    fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64 {
+        let out = self.replay_events(events, &[]);
+        filter::assert_safe(self, events, out.unsafe_at, node);
+        out.filtered
     }
 
     fn arrays(&self) -> Vec<ArraySpec> {
@@ -349,6 +248,8 @@ impl SnoopFilter for VectorExcludeJetty {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::snoop_miss;
+    use crate::{MissScope, UnitAddr, Verdict};
 
     fn vej(sets: usize, ways: usize, v: usize) -> VectorExcludeJetty {
         VectorExcludeJetty::new(VectorExcludeConfig::new(sets, ways, v), AddrSpace::default())
@@ -364,7 +265,7 @@ mod tests {
         let mut f = vej(8, 2, 8);
         let base = 0x100u64; // chunk-aligned block number
         for lane in [0u64, 3, 7] {
-            f.record_snoop_miss(block_unit(base + lane), MissScope::Block);
+            snoop_miss(&mut f, block_unit(base + lane), MissScope::Block);
         }
         for lane in 0..8u64 {
             let expected = if [0u64, 3, 7].contains(&lane) {
@@ -379,7 +280,7 @@ mod tests {
     #[test]
     fn block_record_covers_both_subblocks() {
         let mut f = vej(8, 2, 4);
-        f.record_snoop_miss(UnitAddr::new(80), MissScope::Block);
+        snoop_miss(&mut f, UnitAddr::new(80), MissScope::Block);
         assert_eq!(f.probe(UnitAddr::new(80)), Verdict::NotCached);
         assert_eq!(f.probe(UnitAddr::new(81)), Verdict::NotCached);
     }
@@ -387,7 +288,7 @@ mod tests {
     #[test]
     fn unit_scope_misses_ignored() {
         let mut f = vej(8, 2, 4);
-        f.record_snoop_miss(UnitAddr::new(80), MissScope::Unit);
+        snoop_miss(&mut f, UnitAddr::new(80), MissScope::Unit);
         assert_eq!(f.probe(UnitAddr::new(80)), Verdict::MaybeCached);
     }
 
@@ -396,8 +297,8 @@ mod tests {
         let mut f = vej(8, 2, 4);
         let b0 = block_unit(0x40);
         let b1 = block_unit(0x41);
-        f.record_snoop_miss(b0, MissScope::Block);
-        f.record_snoop_miss(b1, MissScope::Block);
+        snoop_miss(&mut f, b0, MissScope::Block);
+        snoop_miss(&mut f, b1, MissScope::Block);
         f.on_allocate(b0);
         assert_eq!(f.probe(b0), Verdict::MaybeCached);
         assert_eq!(f.probe(b1), Verdict::NotCached);
@@ -407,7 +308,7 @@ mod tests {
     fn spatial_locality_shares_one_entry() {
         let mut f = vej(1, 1, 4);
         for lane in 0..4u64 {
-            f.record_snoop_miss(block_unit(lane), MissScope::Block);
+            snoop_miss(&mut f, block_unit(lane), MissScope::Block);
         }
         for lane in 0..4u64 {
             assert_eq!(f.probe(block_unit(lane)), Verdict::NotCached);
@@ -417,8 +318,8 @@ mod tests {
     #[test]
     fn conflicting_chunk_evicts_lru() {
         let mut f = vej(1, 1, 4);
-        f.record_snoop_miss(block_unit(0), MissScope::Block); // chunk 0
-        f.record_snoop_miss(block_unit(4), MissScope::Block); // chunk 1 evicts
+        snoop_miss(&mut f, block_unit(0), MissScope::Block); // chunk 0
+        snoop_miss(&mut f, block_unit(4), MissScope::Block); // chunk 1 evicts
         assert_eq!(f.probe(block_unit(0)), Verdict::MaybeCached);
         assert_eq!(f.probe(block_unit(4)), Verdict::NotCached);
     }
@@ -426,8 +327,8 @@ mod tests {
     #[test]
     fn set_index_uses_chunk_address() {
         let mut f = vej(4, 1, 4);
-        f.record_snoop_miss(block_unit(0), MissScope::Block); // set 0
-        f.record_snoop_miss(block_unit(4), MissScope::Block); // set 1
+        snoop_miss(&mut f, block_unit(0), MissScope::Block); // set 0
+        snoop_miss(&mut f, block_unit(4), MissScope::Block); // set 1
         assert_eq!(f.probe(block_unit(0)), Verdict::NotCached);
         assert_eq!(f.probe(block_unit(4)), Verdict::NotCached);
     }
@@ -446,8 +347,7 @@ mod tests {
     fn activity_counting() {
         let mut f = vej(8, 1, 4);
         let u = UnitAddr::new(42);
-        f.probe(u);
-        f.record_snoop_miss(u, MissScope::Block);
+        snoop_miss(&mut f, u, MissScope::Block);
         f.on_allocate(u);
         let a = f.activity();
         assert_eq!(a.arrays[0].reads, 2);

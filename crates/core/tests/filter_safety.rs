@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use jetty_core::{AddrSpace, FilterSpec, MissScope, UnitAddr, Verdict};
+use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr, Verdict};
 use proptest::prelude::*;
 
 /// One step of the randomized protocol driver.
@@ -86,28 +86,38 @@ fn drive(spec: FilterSpec, events: &[Event]) {
             }
             Event::Snoop(addr) => {
                 let unit = UnitAddr::new(*addr);
-                let verdict = filter.probe(unit);
+                // An unfiltered snoop that misses in the L2 is learned at
+                // the proven scope. The reference model tracks units; with
+                // the default 64-byte blocks a unit's block is absent iff
+                // both sibling units are.
+                let sibling = addr ^ 1;
+                let scope =
+                    if reference.contains(sibling) { MissScope::Unit } else { MissScope::Block };
+                let verdict = snoop(&mut *filter, unit, reference.contains(*addr), scope);
                 if verdict == Verdict::NotCached {
                     assert!(
                         !reference.contains(*addr),
                         "{} filtered a cached unit {unit} at step {step}",
                         spec.label()
                     );
-                } else if !reference.contains(*addr) {
-                    // Unfiltered snoop that misses in the L2: the substrate
-                    // reports it back so exclude-style filters can learn.
-                    // The reference model tracks units; with the default 64-byte
-                    // blocks a unit's block is absent iff both sibling units are.
-                    let sibling = addr ^ 1;
-                    let scope = if reference.contains(sibling) {
-                        MissScope::Unit
-                    } else {
-                        MissScope::Block
-                    };
-                    filter.record_snoop_miss(unit, scope);
                 }
             }
         }
+    }
+}
+
+/// Replays one snoop through `filter` (which learns a miss that gets
+/// through at `scope`) and returns its verdict.
+fn snoop(
+    filter: &mut dyn SnoopFilter,
+    unit: UnitAddr,
+    would_hit: bool,
+    scope: MissScope,
+) -> Verdict {
+    if filter.apply_batch(&[FilterEvent::Snoop { unit, would_hit, scope }], 0) == 0 {
+        Verdict::MaybeCached
+    } else {
+        Verdict::NotCached
     }
 }
 
@@ -216,22 +226,17 @@ proptest! {
         }
         for &s in &snoops {
             let u = UnitAddr::new(s);
-            let ij_verdict = ij.probe(u);
-            let hj_verdict = hj.probe(u);
+            let (cached, scope) = (unique.contains(&s), scope_for(&unique, s));
+            let ij_verdict = snoop(&mut *ij, u, cached, scope);
+            let hj_verdict = snoop(&mut *hj, u, cached, scope);
             if ij_verdict.is_filtered() {
                 prop_assert!(hj_verdict.is_filtered());
-            }
-            if !hj_verdict.is_filtered() && !unique.contains(&s) {
-                hj.record_snoop_miss(u, scope_for(&unique, s));
-            }
-            if !ij_verdict.is_filtered() && !unique.contains(&s) {
-                ij.record_snoop_miss(u, scope_for(&unique, s));
             }
         }
     }
 
     /// Exclude-style filters only ever filter addresses they were taught:
-    /// without any record_snoop_miss calls they filter nothing.
+    /// when no snoop miss was ever learned they filter nothing.
     #[test]
     fn exclude_filters_nothing_untaught(
         cached in prop::collection::vec(0u64..WIDE, 0..50),
@@ -249,7 +254,7 @@ proptest! {
         }
     }
 
-    /// Activity bookkeeping: probes equals the number of probe calls and
+    /// Activity bookkeeping: probes equals the number of snoops and
     /// filtered <= probes, for every spec.
     #[test]
     fn activity_bookkeeping(
@@ -259,10 +264,7 @@ proptest! {
         for spec in FilterSpec::paper_bank() {
             let mut f = spec.build(space);
             for &s in &snoops {
-                let v = f.probe(UnitAddr::new(s));
-                if !v.is_filtered() {
-                    f.record_snoop_miss(UnitAddr::new(s), scope_for(&[], s));
-                }
+                snoop(&mut *f, UnitAddr::new(s), false, scope_for(&[], s));
             }
             let act = f.activity();
             prop_assert_eq!(act.probes, snoops.len() as u64);

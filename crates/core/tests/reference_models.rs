@@ -1,18 +1,20 @@
-//! Kernel-vs-eager equivalence inside `jetty-core`: replaying an event log
-//! through a filter's batched kernel ([`AnyFilter::apply_batch`]) must be
-//! observation-identical to driving the same events one at a time through
-//! the [`SnoopFilter`] calls the substrate makes eagerly — same activity
-//! counters and same internal state (observed through post-replay probes).
-//! `jetty-sim`'s `batch_equivalence` suite checks the same property end to
-//! end through the simulator; this one feeds proptest-generated event logs
-//! straight to the filters, so geometries and eviction patterns the
-//! simulator rarely produces still reach the kernels' way scans.
-//!
-//! [`AnyFilter::apply_batch`]: jetty_core::AnyFilter::apply_batch
+//! Flat filters against naive reference models ([`models`]): replaying an
+//! event log through a filter — one event per `apply_batch` call, and in
+//! arbitrary chunks — must agree with the model on every snoop's verdict
+//! and on the full activity (probes, filtered snoops, per-array reads and
+//! writes), and must leave the same state behind (observed through a
+//! post-replay probe sweep). `jetty-sim`'s `batch_equivalence` suite
+//! checks the same models against the filters the simulator drives; this
+//! one feeds proptest-generated event logs straight to the filters, so
+//! geometries and eviction patterns the simulator rarely produces still
+//! reach the replay kernels.
+
+mod models;
 
 use std::collections::BTreeSet;
 
 use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr};
+use models::Model;
 use proptest::prelude::*;
 
 /// Raw proptest material for one event: an action selector and an
@@ -62,70 +64,45 @@ fn build_events(actions: &[Action], space: AddrSpace, units: u64) -> Vec<FilterE
     events
 }
 
-/// Drives one event through the eager [`SnoopFilter`] calls, in the order
-/// the substrate makes them: a snoop probes, and an unfiltered snoop that
-/// misses the L2 is recorded with its proven scope.
-fn apply_eager(filter: &mut impl SnoopFilter, event: FilterEvent) {
-    match event {
-        FilterEvent::Snoop { unit, would_hit, scope } => {
-            let verdict = filter.probe(unit);
-            assert!(!(verdict.is_filtered() && would_hit), "filtered a snoop to cached {unit}");
-            if !verdict.is_filtered() && !would_hit {
-                filter.record_snoop_miss(unit, scope);
-            }
-        }
-        FilterEvent::Allocate(unit) => filter.on_allocate(unit),
-        FilterEvent::Deallocate(unit) => filter.on_deallocate(unit),
-    }
-}
-
-/// Replays `events` through two fresh instances of `spec` — one through
-/// the batched kernel in `chunk_len`-sized chunks, one event by event —
-/// then asserts the observables agree: accumulated activity (probes,
-/// filtered, per-array reads/writes) and the verdict of a probe sweep over
-/// the whole unit range (which observes the EJ/VEJ/IJ state the replay
-/// left behind).
-fn assert_batched_matches_eager(
-    spec: &FilterSpec,
-    actions: &[Action],
-    chunk_len: usize,
-    units: u64,
-) {
+/// Replays `events` through the reference model of `spec` and through two
+/// fresh flat instances — one event per call, and in `chunk_len`-sized
+/// chunks — then asserts that every snoop's verdict, the accumulated
+/// activity, and the verdicts and activity of a post-replay probe sweep
+/// over the whole unit range agree.
+fn assert_matches_model(spec: &FilterSpec, actions: &[Action], chunk_len: usize, units: u64) {
     let space = AddrSpace::default();
     let events = build_events(actions, space, units);
+    let mut model = Model::new(spec, space);
+    let mut stepped = spec.build_any(space);
     let mut batched = spec.build_any(space);
-    let mut eager = spec.build_any(space);
+    for (i, &event) in events.iter().enumerate() {
+        let expected = model.apply(event);
+        let filtered = stepped.apply_batch(&[event], 0);
+        if let Some(verdict) = expected {
+            assert_eq!(filtered == 1, verdict, "{}: verdict of event {i} {event:?}", spec.label());
+        }
+    }
     for chunk in events.chunks(chunk_len.max(1)) {
         batched.apply_batch(chunk, 0);
     }
-    for &event in &events {
-        apply_eager(&mut eager, event);
+    let label = spec.label();
+    assert_eq!(stepped.activity(), model.activity(), "{label}: one-event replay activity");
+    assert_eq!(batched.activity(), model.activity(), "{label}: chunked replay activity");
+    for unit in (0..units).map(UnitAddr::new) {
+        let probe = FilterEvent::Snoop { unit, would_hit: false, scope: MissScope::Unit };
+        let expected = model.apply(probe) == Some(true);
+        assert_eq!(batched.probe(unit).is_filtered(), expected, "{label}: sweep verdict at {unit}");
     }
-    assert_eq!(
-        batched.activity(),
-        eager.activity(),
-        "{}: replay activity diverged between batched and eager paths",
-        spec.label()
-    );
-    for unit in 0..units {
-        assert_eq!(
-            batched.probe(UnitAddr::new(unit)),
-            eager.probe(UnitAddr::new(unit)),
-            "{}: post-replay verdict diverged at unit {unit}",
-            spec.label()
-        );
-    }
-    // The probe sweep above mutated both (EJ LRU stamps); activity must
-    // still agree afterwards.
-    assert_eq!(batched.activity(), eager.activity(), "{}: probe-sweep activity", spec.label());
+    // The sweep mutated both (EJ LRU order); activity must still agree.
+    assert_eq!(batched.activity(), model.activity(), "{label}: probe-sweep activity");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Associativities the paper never uses: direct-mapped and sub-4 sets,
-    /// non-power-of-two ways, and a 9-way config — every shape the shared
-    /// way scan must handle.
+    /// non-power-of-two ways, and a 9-way config — every shape the way
+    /// scan must handle.
     #[test]
     fn odd_associativities_exercise_lane_tails(
         actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..300),
@@ -139,7 +116,7 @@ proptest! {
             FilterSpec::vector_exclude(8, 3, 8),
             FilterSpec::vector_exclude(2, 9, 4),
         ] {
-            assert_batched_matches_eager(&spec, &actions, chunk_len, 64);
+            assert_matches_model(&spec, &actions, chunk_len, 64);
         }
     }
 
@@ -156,7 +133,31 @@ proptest! {
             FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
             FilterSpec::include(6, 5, 6),
         ] {
-            assert_batched_matches_eager(&spec, &actions, chunk_len, 4096);
+            assert_matches_model(&spec, &actions, chunk_len, 4096);
+        }
+    }
+
+    /// Vector records under set pressure: few sets and ways over a wide
+    /// range, so LRU victims are chosen constantly and every recency
+    /// refresh (probe hits included) decides which record survives. The
+    /// vector hybrid rides along under both allocation policies.
+    #[test]
+    fn vector_exclude_under_eviction_pressure(
+        actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..300),
+        chunk_len in 1usize..64,
+    ) {
+        let vector_eager = match FilterSpec::hybrid_vector(8, 4, 7, 2, 2, 4) {
+            FilterSpec::Hybrid(c) => FilterSpec::Hybrid(c.with_eager_allocation()),
+            _ => unreachable!("hybrid_vector builds a hybrid"),
+        };
+        for spec in [
+            FilterSpec::vector_exclude(2, 2, 4),
+            FilterSpec::vector_exclude(4, 1, 8),
+            FilterSpec::exclude(2, 2),
+            FilterSpec::hybrid_vector(8, 4, 7, 2, 2, 4),
+            vector_eager,
+        ] {
+            assert_matches_model(&spec, &actions, chunk_len, 256);
         }
     }
 }

@@ -82,6 +82,7 @@ const COMMANDS: &[&str] = &[
 /// The `--help` text (stdout, exit 0 — distinct from the unknown-flag
 /// error path, which goes to stderr and exits nonzero).
 fn usage() -> String {
+    let supported_cpus = jetty_workloads::apps::supported_cpus();
     format!(
         "jetty-repro [COMMANDS...] [--scale X] [--cpus N] [--threads N] \
          [--shards N] [--format FMT] [--csv DIR] [--axis NAME=V1,V2] [--check] \
@@ -94,6 +95,8 @@ fn usage() -> String {
          `runs` lists a run store; `diff RUN_A RUN_B` compares two recorded \
          runs cell-by-cell (a run ref is N, latest, or PATH:REF) and exits \
          nonzero on drift\n\
+         --cpus sets the SMP width (default 4; the workload generator \
+         supports {} to {})\n\
          --format selects the output renderer: text json csv (default: text)\n\
          --axis configures the sweep grid (repeatable; axes: cpus protocol \
          filter scale nsb), e.g. --axis cpus=4,8 --axis protocol=moesi,msi\n\
@@ -115,7 +118,9 @@ fn usage() -> String {
          exit codes: 0 = clean, 2 = partial (results rendered but some \
          suites failed, or the store append failed), 1 = total failure or \
          usage error",
-        COMMANDS.join(" ")
+        COMMANDS.join(" "),
+        supported_cpus.start(),
+        supported_cpus.end()
     )
 }
 
@@ -201,6 +206,7 @@ fn parse_args() -> Result<Parsed, String> {
                         cli.cpus
                     ));
                 }
+                RunOptions::check_cpus(cli.cpus).map_err(|e| format!("--cpus: {e}"))?;
             }
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;

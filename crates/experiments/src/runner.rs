@@ -11,7 +11,7 @@ use std::hash::{Hash, Hasher};
 
 use jetty_core::FilterSpec;
 use jetty_sim::{FilterReport, GateStop, ProtocolKind, RunGate, RunStats, System, SystemConfig};
-use jetty_workloads::{AppProfile, TraceGen};
+use jetty_workloads::{apps, AppProfile, TraceGen};
 
 use crate::engine::Engine;
 use crate::error::JettyError;
@@ -72,6 +72,23 @@ impl RunOptions {
             ));
         }
         Ok(scale)
+    }
+
+    /// Checks a user-supplied CPU count (the `--cpus` flag and the
+    /// sweep's `cpus` axis) against what every application's trace
+    /// generator supports ([`apps::supported_cpus`]), so no count can
+    /// abort the generator.
+    pub fn check_cpus(cpus: usize) -> Result<(), String> {
+        let supported = apps::supported_cpus();
+        if supported.contains(&cpus) {
+            Ok(())
+        } else {
+            Err(format!(
+                "the workload generator supports {} to {} CPUs; got {cpus}",
+                supported.start(),
+                supported.end()
+            ))
+        }
     }
 
     /// Scales the trace length (for quick runs and benches).

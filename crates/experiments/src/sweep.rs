@@ -141,7 +141,8 @@ impl SweepGrid {
 
     /// Replaces one axis's values from a comma-separated CLI string.
     /// Rejects empty lists, unparsable values, invalid geometries
-    /// (`cpus<2`, a scale outside `(0, RunOptions::MAX_SCALE]`), and
+    /// (`cpus<2` or a count the trace generator cannot serve, a scale
+    /// outside `(0, RunOptions::MAX_SCALE]`), and
     /// duplicates (a duplicated value would silently duplicate every row
     /// it touches).
     pub fn set_axis(&mut self, axis: Axis, values: &str) -> Result<(), String> {
@@ -178,6 +179,7 @@ impl SweepGrid {
                             "axis cpus: a snoopy SMP needs at least 2 processors, got {n}"
                         ));
                     }
+                    RunOptions::check_cpus(n).map_err(|e| format!("axis cpus: {e}"))?;
                     Ok(n)
                 })?;
             }
@@ -479,6 +481,8 @@ mod tests {
         let mut grid = SweepGrid::single_point(0.02);
         for (axis, bad) in [
             (Axis::Cpus, "1"),
+            (Axis::Cpus, "3"),
+            (Axis::Cpus, "4,65"),
             (Axis::Cpus, "four"),
             (Axis::Cpus, "4,,8"),
             (Axis::Cpus, "4,4"),

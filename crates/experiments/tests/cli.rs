@@ -209,6 +209,8 @@ fn axis_flag_validates_names_and_values() {
         (vec!["sweep", "--axis", "bank=4"], "unknown sweep axis"),
         (vec!["sweep", "--axis", "cpus"], "NAME=V1,V2"),
         (vec!["sweep", "--axis", "cpus=1"], "at least 2"),
+        (vec!["sweep", "--axis", "cpus=3"], "supports 4 to 64 CPUs"),
+        (vec!["sweep", "--axis", "cpus=4,65"], "supports 4 to 64 CPUs"),
         (vec!["sweep", "--axis", "protocol=mosi"], "unknown protocol"),
         (vec!["sweep", "--axis", "filter=what"], "unknown filter id"),
         (vec!["sweep", "--axis", "scale=0"], "positive"),
@@ -455,6 +457,29 @@ fn scale_flag_is_validated() {
         (vec!["table2", "--scale", "1e308"], "at most 100"),
         (vec!["table2", "--scale", "banana"], "bad scale"),
         (vec!["table2", "--scale"], "--scale needs a value"),
+    ] {
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no output before the error");
+    }
+}
+
+#[test]
+fn cpus_flag_is_validated() {
+    // Every unsupported CPU count is a usage error (exit 1, message, no
+    // output): past the CLI, the trace generator asserts on counts its
+    // producer/consumer and migratory patterns cannot serve (an abort in
+    // release builds).
+    for (args, needle) in [
+        (vec!["table2", "--cpus", "0"], "--cpus must be at least 2"),
+        (vec!["table2", "--cpus", "3"], "supports 4 to 64 CPUs; got 3"),
+        (vec!["table2", "--cpus", "65"], "supports 4 to 64 CPUs; got 65"),
+        (vec!["table2", "--cpus", "100"], "supports 4 to 64 CPUs; got 100"),
+        (vec!["table2", "--cpus", "9999"], "supports 4 to 64 CPUs; got 9999"),
+        (vec!["table2", "--cpus", "four"], "bad cpu count"),
+        (vec!["table2", "--cpus"], "--cpus needs a value"),
     ] {
         let out = repro(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");

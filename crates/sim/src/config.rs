@@ -116,10 +116,17 @@ impl Default for L2Config {
 }
 
 /// How much runtime verification the system performs.
+///
+/// The level only adds protocol checkers; it never changes how filters
+/// run. The checkers read caches and versions, never filter state, so a
+/// checked run logs and replays filter events per chunk exactly like an
+/// unchecked one, and the filter-safety assertion fires at every level —
+/// at the chunk flush, with the offending filter, unit and node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CheckLevel {
     /// No extra checking (fastest; filter-safety asserts stay on — they are
-    /// a single branch and guard the paper's core requirement).
+    /// a single branch per replayed snoop and guard the paper's core
+    /// requirement).
     Off,
     /// Full checking: version-based data coherence, MOESI invariants and
     /// L1/L2 inclusion are asserted after every transaction.

@@ -33,11 +33,14 @@
 //! NSB variant 1), and the nibble field encodes only *valid* states:
 //! `Invalid` is represented by a clear valid bit, never by a nibble.
 
-use jetty_core::kernels;
 use jetty_core::UnitAddr;
 
 use crate::config::L2Config;
 use crate::moesi::Moesi;
+
+/// Low 8 bits of a hot record's meta half: the packed valid bitmask
+/// (bit `sub` ⇔ subblock `sub` valid).
+const META_VALID_MASK: u64 = 0xFF;
 
 /// Packs a valid MOESI state into its 4-bit hot-record nibble.
 fn state_nibble(state: Moesi) -> u64 {
@@ -171,7 +174,7 @@ impl L2Cache {
     pub fn block_present(&self, unit: UnitAddr) -> bool {
         let (idx, tag, _) = self.split(unit);
         let rec = self.hot[idx];
-        ((rec >> 64) as u64) & kernels::L2_META_VALID_MASK != 0 && rec as u64 == tag
+        ((rec >> 64) as u64) & META_VALID_MASK != 0 && rec as u64 == tag
     }
 
     /// One-shot snoop probe: `(state, block_present)` from a single
@@ -182,7 +185,7 @@ impl L2Cache {
         let (idx, tag, sub) = self.split(unit);
         let rec = self.hot[idx];
         let meta = (rec >> 64) as u64;
-        let mask = meta & kernels::L2_META_VALID_MASK;
+        let mask = meta & META_VALID_MASK;
         let block_present = mask != 0 && rec as u64 == tag;
         let state = if block_present && mask & (1u64 << sub) != 0 {
             nibble_state(meta >> nibble_shift(sub))
@@ -190,16 +193,6 @@ impl L2Cache {
             Moesi::Invalid
         };
         (state, block_present)
-    }
-
-    /// Batched twin of [`L2Cache::snoop_probe`] for the read-only
-    /// questions: appends one flag byte per raw unit address to `out`
-    /// ([`kernels::L2_BLOCK_PRESENT`] / [`kernels::L2_SUB_VALID`]), with
-    /// the 16-byte hot records streaming instead of pointer-chasing per
-    /// event. The caller reads [`L2Cache::state`] only for units whose
-    /// subblock is valid.
-    pub fn snoop_probe_many(&self, units: &[u64], out: &mut Vec<u8>) {
-        kernels::snoop_probe_many(&self.hot, units, self.sub_bits, self.index_bits, out);
     }
 
     /// Data version of `unit`; 0 when absent.
@@ -289,8 +282,8 @@ impl L2Cache {
         let (idx, tag, sub) = self.split(unit);
         let meta = self.meta(idx);
         let victim_tag = self.tag(idx);
-        if meta & kernels::L2_META_VALID_MASK != 0 && victim_tag != tag {
-            let mut mask = meta & kernels::L2_META_VALID_MASK;
+        if meta & META_VALID_MASK != 0 && victim_tag != tag {
+            let mut mask = meta & META_VALID_MASK;
             while mask != 0 {
                 let s = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
@@ -313,15 +306,6 @@ impl L2Cache {
         self.versions[slot] = version;
     }
 
-    /// Allocating convenience wrapper around [`L2Cache::fill_into`]
-    /// (tests and model-equivalence harnesses; the simulator hot path
-    /// threads a reusable scratch buffer instead).
-    pub fn fill(&mut self, unit: UnitAddr, state: Moesi, version: u64) -> Vec<EvictedUnit> {
-        let mut evicted = Vec::new();
-        self.fill_into(unit, state, version, &mut evicted);
-        evicted
-    }
-
     /// Iterates over all valid units with their states (checker aid).
     pub fn valid_units(&self) -> impl Iterator<Item = (UnitAddr, Moesi)> + '_ {
         (0..self.blocks()).flat_map(move |idx| {
@@ -337,7 +321,7 @@ impl L2Cache {
     pub fn population(&self) -> usize {
         self.hot
             .iter()
-            .map(|&rec| (((rec >> 64) as u64) & kernels::L2_META_VALID_MASK).count_ones() as usize)
+            .map(|&rec| (((rec >> 64) as u64) & META_VALID_MASK).count_ones() as usize)
             .sum()
     }
 }
@@ -345,6 +329,13 @@ impl L2Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fills `unit` and returns the units the fill evicted.
+    fn fill(l2: &mut L2Cache, unit: UnitAddr, state: Moesi, version: u64) -> Vec<EvictedUnit> {
+        let mut evicted = Vec::new();
+        l2.fill_into(unit, state, version, &mut evicted);
+        evicted
+    }
 
     fn small() -> L2Cache {
         // 4 blocks of 64 bytes, 2 subblocks each.
@@ -362,7 +353,7 @@ mod tests {
     fn fill_then_lookup() {
         let mut l2 = small();
         let u = UnitAddr::new(3);
-        assert!(l2.fill(u, Moesi::Exclusive, 7).is_empty());
+        assert!(fill(&mut l2, u, Moesi::Exclusive, 7).is_empty());
         assert_eq!(l2.state(u), Moesi::Exclusive);
         assert_eq!(l2.version(u), 7);
         assert_eq!(l2.population(), 1);
@@ -374,8 +365,8 @@ mod tests {
         // Units 8 and 9 are the two subblocks of block 4 (idx 0, tag 1).
         let a = UnitAddr::new(8);
         let b = UnitAddr::new(9);
-        assert!(l2.fill(a, Moesi::Shared, 1).is_empty());
-        assert!(l2.fill(b, Moesi::Modified, 2).is_empty());
+        assert!(fill(&mut l2, a, Moesi::Shared, 1).is_empty());
+        assert!(fill(&mut l2, b, Moesi::Modified, 2).is_empty());
         assert_eq!(l2.state(a), Moesi::Shared);
         assert_eq!(l2.state(b), Moesi::Modified);
     }
@@ -384,7 +375,7 @@ mod tests {
     fn one_subblock_valid_means_other_misses() {
         let mut l2 = small();
         let a = UnitAddr::new(8);
-        l2.fill(a, Moesi::Shared, 1);
+        fill(&mut l2, a, Moesi::Shared, 1);
         // Sibling subblock: tag matches but state is Invalid -> miss.
         assert_eq!(l2.state(UnitAddr::new(9)), Moesi::Invalid);
     }
@@ -393,9 +384,9 @@ mod tests {
     fn conflicting_block_evicts_all_valid_subblocks() {
         let mut l2 = small();
         // Block addr 0 (units 0,1) and block addr 4 (units 8,9) share idx 0.
-        l2.fill(UnitAddr::new(0), Moesi::Modified, 3);
-        l2.fill(UnitAddr::new(1), Moesi::Shared, 4);
-        let evicted = l2.fill(UnitAddr::new(8), Moesi::Exclusive, 5);
+        fill(&mut l2, UnitAddr::new(0), Moesi::Modified, 3);
+        fill(&mut l2, UnitAddr::new(1), Moesi::Shared, 4);
+        let evicted = fill(&mut l2, UnitAddr::new(8), Moesi::Exclusive, 5);
         assert_eq!(evicted.len(), 2);
         assert!(evicted.contains(&EvictedUnit {
             unit: UnitAddr::new(0),
@@ -434,7 +425,7 @@ mod tests {
     fn invalidate_returns_prior_state() {
         let mut l2 = small();
         let u = UnitAddr::new(2);
-        l2.fill(u, Moesi::Owned, 9);
+        fill(&mut l2, u, Moesi::Owned, 9);
         assert_eq!(l2.invalidate(u), (Moesi::Owned, 9));
         assert_eq!(l2.state(u), Moesi::Invalid);
     }
@@ -451,15 +442,15 @@ mod tests {
     fn double_fill_panics() {
         let mut l2 = small();
         let u = UnitAddr::new(1);
-        l2.fill(u, Moesi::Shared, 0);
-        l2.fill(u, Moesi::Shared, 0);
+        fill(&mut l2, u, Moesi::Shared, 0);
+        fill(&mut l2, u, Moesi::Shared, 0);
     }
 
     #[test]
     fn set_state_transitions() {
         let mut l2 = small();
         let u = UnitAddr::new(6);
-        l2.fill(u, Moesi::Exclusive, 0);
+        fill(&mut l2, u, Moesi::Exclusive, 0);
         l2.set_state(u, Moesi::Modified);
         assert_eq!(l2.state(u), Moesi::Modified);
     }
@@ -467,8 +458,8 @@ mod tests {
     #[test]
     fn valid_units_enumerates_all() {
         let mut l2 = small();
-        l2.fill(UnitAddr::new(0), Moesi::Shared, 0);
-        l2.fill(UnitAddr::new(5), Moesi::Modified, 0);
+        fill(&mut l2, UnitAddr::new(0), Moesi::Shared, 0);
+        fill(&mut l2, UnitAddr::new(5), Moesi::Modified, 0);
         let mut got: Vec<(u64, Moesi)> = l2.valid_units().map(|(u, s)| (u.raw(), s)).collect();
         got.sort_unstable_by_key(|(u, _)| *u);
         assert_eq!(got, vec![(0, Moesi::Shared), (5, Moesi::Modified)]);
@@ -478,7 +469,7 @@ mod tests {
     fn version_stamping() {
         let mut l2 = small();
         let u = UnitAddr::new(4);
-        l2.fill(u, Moesi::Exclusive, 1);
+        fill(&mut l2, u, Moesi::Exclusive, 1);
         l2.set_version(u, 42);
         assert_eq!(l2.version(u), 42);
         assert_eq!(l2.version(UnitAddr::new(5)), 0);
@@ -491,7 +482,7 @@ mod tests {
         // tag-matched lookup did.
         let mut l2 = small();
         let u = UnitAddr::new(4);
-        l2.fill(u, Moesi::Modified, 9);
+        fill(&mut l2, u, Moesi::Modified, 9);
         assert_eq!(l2.version(UnitAddr::new(5)), 0, "sibling never filled");
         l2.invalidate(u);
         assert_eq!(l2.version(u), 0, "invalidated subblock");
@@ -501,27 +492,10 @@ mod tests {
     fn nsb_configuration_evicts_single_unit() {
         // Non-subblocked: one subblock per block.
         let mut l2 = L2Cache::new(L2Config::new(256, 64, 1));
-        l2.fill(UnitAddr::new(0), Moesi::Modified, 1);
-        let evicted = l2.fill(UnitAddr::new(4), Moesi::Shared, 2);
+        fill(&mut l2, UnitAddr::new(0), Moesi::Modified, 1);
+        let evicted = fill(&mut l2, UnitAddr::new(4), Moesi::Shared, 2);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].unit, UnitAddr::new(0));
-    }
-
-    #[test]
-    fn snoop_probe_many_matches_per_unit_probes() {
-        let mut l2 = small();
-        l2.fill(UnitAddr::new(0), Moesi::Shared, 1);
-        l2.fill(UnitAddr::new(9), Moesi::Modified, 2);
-        let units: Vec<u64> = (0..32).collect();
-        let mut flags = Vec::new();
-        l2.snoop_probe_many(&units, &mut flags);
-        assert_eq!(flags.len(), units.len());
-        for (&u, &f) in units.iter().zip(&flags) {
-            let unit = UnitAddr::new(u);
-            let (state, block_present) = l2.snoop_probe(unit);
-            assert_eq!(f & kernels::L2_BLOCK_PRESENT != 0, block_present, "unit {u}");
-            assert_eq!(f & kernels::L2_SUB_VALID != 0, state.is_valid(), "unit {u}");
-        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! every remote node.
 //!
 //! Each snoop follows the exact path JETTY is about: the writeback buffer
-//! is always probed (never filtered), then every filter in the bank
-//! observes the snoop as a bystander, then — for an unfiltered L2 — the
-//! configured [`CoherenceProtocol`] reaction runs against the tag array.
+//! is always probed (never filtered), then the snoop is logged for every
+//! filter in the bank to observe as a bystander, then — for an unfiltered
+//! L2 — the configured [`CoherenceProtocol`] reaction runs against the tag
+//! array.
 //!
 //! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
 
-use jetty_core::{FilterEvent, MissScope, SnoopFilter, UnitAddr};
+use jetty_core::{FilterEvent, MissScope, UnitAddr};
 
 use crate::bus::{BusKind, SnoopResponse};
 use crate::protocol::CoherenceProtocol;
@@ -107,26 +108,10 @@ impl System {
             }
 
             // 2. The filter bank observes the snoop. Filters are pure
-            // bystanders: every one probes, and each that fails to filter a
-            // genuine miss is taught via record_snoop_miss. A batched run
-            // defers the whole bank walk to the chunk flush — one logged
-            // event here, replayed per filter in cache-friendly order.
-            if self.batching {
-                node.events.push(FilterEvent::Snoop { unit, would_hit, scope });
-            } else {
-                for f in &mut node.filters {
-                    let verdict = f.probe(unit);
-                    if verdict.is_filtered() {
-                        assert!(
-                            !would_hit,
-                            "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {i}",
-                            f.name()
-                        );
-                    } else if !would_hit {
-                        f.record_snoop_miss(unit, scope);
-                    }
-                }
-            }
+            // bystanders: the snoop is logged, and the flush replays it
+            // through every filter of the bank (each probes, and each that
+            // fails to filter a genuine miss learns it at `scope`).
+            node.log(FilterEvent::Snoop { unit, would_hit, scope });
         }
         if let Some(entry) = retired {
             self.retire_to_memory(entry);
@@ -180,13 +165,7 @@ impl System {
                     node.stats.snoop_supplies += 1;
                     response.supplied_version = Some(version);
                 }
-                if self.batching {
-                    self.nodes[i].events.push(FilterEvent::Deallocate(unit));
-                } else {
-                    for f in &mut self.nodes[i].filters {
-                        f.on_deallocate(unit);
-                    }
-                }
+                node.log(FilterEvent::Deallocate(unit));
             }
         }
     }

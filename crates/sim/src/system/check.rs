@@ -12,8 +12,8 @@
 //!   under MESI),
 //! * L1 ⊆ L2 inclusion holds for the touched unit.
 //!
-//! The filter-safety assertion itself lives on the snoop path
-//! ([`bus`](super::bus)) and runs at every check level.
+//! The filter-safety assertion itself runs inside each filter's replay
+//! of the logged snoop events, at every check level.
 
 use jetty_core::{SnoopFilter, UnitAddr};
 
@@ -104,23 +104,13 @@ impl System {
         }
     }
 
-    /// Verifies L1 ⊆ L2 inclusion exhaustively (tests; O(L1 size)). Each
-    /// node's whole L1 population goes through one batched
-    /// [`snoop_probe_many`](crate::l2::L2Cache::snoop_probe_many) sweep
-    /// instead of per-unit lookups.
+    /// Verifies L1 ⊆ L2 inclusion exhaustively (tests; O(L1 size)).
     pub fn verify_inclusion(&self) {
-        let mut units = Vec::new();
-        let mut flags = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
-            units.clear();
-            units.extend(node.l1.valid_units().map(|u| u.raw()));
-            flags.clear();
-            node.l2.snoop_probe_many(&units, &mut flags);
-            for (&u, &f) in units.iter().zip(&flags) {
+            for u in node.l1.valid_units() {
                 assert!(
-                    f & jetty_core::kernels::L2_SUB_VALID != 0,
-                    "inclusion violated on node {i}: {} in L1 but not L2",
-                    UnitAddr::new(u)
+                    node.l2.state(u).is_valid(),
+                    "inclusion violated on node {i}: {u} in L1 but not L2"
                 );
             }
         }

@@ -8,7 +8,7 @@
 //!
 //! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
 
-use jetty_core::{FilterEvent, SnoopFilter, UnitAddr};
+use jetty_core::{FilterEvent, UnitAddr};
 
 use crate::bus::BusKind;
 use crate::l1::L1Lookup;
@@ -198,7 +198,7 @@ impl System {
     }
 
     /// Installs a freshly fetched unit into the local L2, evicting a
-    /// conflicting block if needed, and notifies the filter bank.
+    /// conflicting block if needed, and logs the filter notifications.
     pub(super) fn install(&mut self, cpu: usize, unit: UnitAddr, state: Moesi, version: u64) {
         debug_assert!(self.config.protocol.allows(state), "install of foreign state {state}");
         // The system-owned scratch buffer is moved out for the duration of
@@ -229,21 +229,9 @@ impl System {
                     self.retire_to_memory(forced);
                 }
             }
-            if self.batching {
-                self.nodes[cpu].events.push(FilterEvent::Deallocate(ev.unit));
-            } else {
-                for f in &mut self.nodes[cpu].filters {
-                    f.on_deallocate(ev.unit);
-                }
-            }
+            self.nodes[cpu].log(FilterEvent::Deallocate(ev.unit));
         }
-        if self.batching {
-            self.nodes[cpu].events.push(FilterEvent::Allocate(unit));
-        } else {
-            for f in &mut self.nodes[cpu].filters {
-                f.on_allocate(unit);
-            }
-        }
+        self.nodes[cpu].log(FilterEvent::Allocate(unit));
         self.evict_scratch = evicted;
     }
 }

@@ -44,7 +44,8 @@
 //! # Safety checking
 //!
 //! The filter-safety assertion (a filtered snoop must be a genuine miss) is
-//! always on: it is one comparison and it guards the paper's core
+//! always on: it is one comparison per replayed snoop, made when the flush
+//! replays the snoop's logged event, and it guards the paper's core
 //! requirement. With [`CheckLevel::Full`] the system additionally verifies
 //! the protocol's single-writer invariants after every transaction and
 //! tracks data versions end to end (stores stamp a fresh version; loads
@@ -161,13 +162,6 @@ pub struct System {
     /// Reusable eviction scratch threaded through every L2 fill so the
     /// steady-state install path allocates nothing.
     evict_scratch: Vec<EvictedUnit>,
-    /// When set (inside [`System::run_chunk`]), the snoop/allocate/
-    /// deallocate paths log [`jetty_core::FilterEvent`]s into each node's
-    /// buffer instead of walking its filter bank eagerly; the chunk flush
-    /// replays each node's list filter-by-filter. Never set while the
-    /// public [`System::access`]/[`System::apply`] entry points run
-    /// directly, so single-access callers observe filter state immediately.
-    batching: bool,
     /// Worker shards for the end-of-chunk filter replay: nodes are
     /// partitioned into this many contiguous slices and each slice's
     /// event logs replay on its own scoped thread. Purely a performance
@@ -215,7 +209,6 @@ impl System {
             memory_versions: FastMap::new(),
             latest_versions: FastMap::new(),
             evict_scratch: Vec::new(),
-            batching: false,
             shards: 1,
         }
     }
@@ -258,7 +251,8 @@ impl System {
         self.config.protocol.protocol()
     }
 
-    /// Applies one trace reference.
+    /// Applies one trace reference ([`System::access`]: the filter bank
+    /// has replayed it when this returns).
     pub fn apply(&mut self, mem_ref: MemRef) -> AccessOutcome {
         self.access(mem_ref.cpu, mem_ref.op, mem_ref.addr)
     }
@@ -314,22 +308,22 @@ impl System {
     /// Runs one pregenerated chunk of references.
     ///
     /// The protocol path (L1/L2/writeback/bus reactions) is inherently
-    /// sequential and always runs scalar, but filters are pure bystanders
-    /// whose state depends only on the ordered event stream each one
-    /// receives — so during the chunk the snoop path logs compact
+    /// sequential and runs one reference at a time, but filters are pure
+    /// bystanders whose state depends only on the ordered event stream
+    /// each one receives — so during the chunk the snoop path logs compact
     /// per-node [`jetty_core::FilterEvent`]s, and the end-of-chunk flush
     /// replays each node's list through each filter in turn
-    /// (`AnyFilter::apply_batch`). One filter's arrays stay cache-resident
-    /// across thousands of events instead of the whole bank thrashing per
-    /// snoop, and the replay is exactly equivalent to the eager calls —
-    /// same order, same states, same activity counters.
+    /// ([`SnoopFilter::apply_batch`]). One filter's arrays stay
+    /// cache-resident across thousands of events instead of the whole bank
+    /// thrashing per snoop, and chunk boundaries change nothing — same
+    /// order, same states, same activity counters.
     ///
-    /// Scalar fallback: runs under [`CheckLevel::Full`] skip batching so
-    /// the filter-safety assertion fires at the exact offending access
-    /// (deferral would report it at the chunk boundary), as do runs with
-    /// an empty filter bank (nothing to batch). All filter events are
-    /// flushed before this returns, so callers may inspect filter state
-    /// between chunks.
+    /// Every run takes this path, checked ones included: the
+    /// [`CheckLevel::Full`] checkers read caches and versions, never filter
+    /// state, so they still see every access, while an unsafe filter
+    /// panics at the flush that replays the offending snoop. All filter
+    /// events are flushed before this returns, so callers may inspect
+    /// filter state between chunks.
     ///
     /// [`CheckLevel::Full`]: crate::CheckLevel::Full
     pub fn run_chunk(&mut self, chunk: &[MemRef]) {
@@ -352,17 +346,9 @@ impl System {
         chunk: &[MemRef],
         gate: &crate::RunGate,
     ) -> Result<(), crate::GateStop> {
-        if self.config.check.is_full() || self.specs.is_empty() {
-            for &r in chunk {
-                self.apply(r);
-            }
-            return Ok(());
-        }
-        self.batching = true;
         for &r in chunk {
-            self.apply(r);
+            self.simulate(r.cpu, r.op, r.addr);
         }
-        self.batching = false;
         self.flush_filter_events(gate)
     }
 
@@ -381,29 +367,11 @@ impl System {
     /// aggregate in node-index order — so the merge back to global
     /// results is the same at any shard count, byte for byte.
     fn flush_filter_events(&mut self, gate: &crate::RunGate) -> Result<(), crate::GateStop> {
-        fn replay_slice(
-            nodes: &mut [Node],
-            base: usize,
-            gate: &crate::RunGate,
-        ) -> Result<(), crate::GateStop> {
-            for (off, node) in nodes.iter_mut().enumerate() {
-                gate.check()?;
-                if node.events.is_empty() {
-                    continue;
-                }
-                for f in &mut node.filters {
-                    f.apply_batch(&node.events, base + off);
-                }
-                node.events.clear();
-            }
-            Ok(())
-        }
-
         let shards = self.shards.min(self.nodes.len()).max(1);
         if shards == 1 {
             // The exact serial loop — no scope setup, and with an
             // unbounded gate the per-node check is a single branch.
-            return replay_slice(&mut self.nodes, 0, gate);
+            return replay_nodes(&mut self.nodes, 0, gate);
         }
         let per_shard = self.nodes.len().div_ceil(shards);
         let mut results: Vec<Result<(), crate::GateStop>> = Vec::with_capacity(shards);
@@ -414,10 +382,10 @@ impl System {
                 .enumerate()
                 .map(|(s, slice)| {
                     let base = (s + 1) * per_shard;
-                    scope.spawn(move || replay_slice(slice, base, gate))
+                    scope.spawn(move || replay_nodes(slice, base, gate))
                 })
                 .collect();
-            results.push(replay_slice(first, 0, gate));
+            results.push(replay_nodes(first, 0, gate));
             for h in handles {
                 results.push(h.join().expect("shard replay worker panicked"));
             }
@@ -428,13 +396,24 @@ impl System {
         results.into_iter().collect()
     }
 
-    /// Performs one CPU access.
+    /// Performs one CPU access and replays the filter events it logged,
+    /// so single-access callers observe filter state at once.
     ///
     /// # Panics
     ///
-    /// Panics if `cpu` is out of range, or on any internal protocol
-    /// violation (these are bugs, not recoverable conditions).
+    /// Panics if `cpu` is out of range, on an unsafe filter, or on any
+    /// internal protocol violation (these are bugs, not recoverable
+    /// conditions).
     pub fn access(&mut self, cpu: usize, op: Op, addr: u64) -> AccessOutcome {
+        let outcome = self.simulate(cpu, op, addr);
+        replay_nodes(&mut self.nodes, 0, &crate::RunGate::unbounded())
+            .unwrap_or_else(|stop| unreachable!("unbounded gate cannot stop a replay: {stop:?}"));
+        outcome
+    }
+
+    /// Runs one CPU access through the protocol path, logging its filter
+    /// events for the next flush.
+    fn simulate(&mut self, cpu: usize, op: Op, addr: u64) -> AccessOutcome {
         assert!(cpu < self.config.cpus, "cpu {cpu} out of range");
         let unit = self.space.unit_of(addr);
         match op {
@@ -502,6 +481,27 @@ impl System {
     pub fn l1_contains(&self, cpu: usize, addr: u64) -> bool {
         self.nodes[cpu].l1.contains(self.space.unit_of(addr))
     }
+}
+
+/// Replays each node's logged filter events through its bank and clears
+/// the log, checking `gate` once per node. `base` is the index of
+/// `nodes[0]`, labelling the filter-safety panic.
+fn replay_nodes(
+    nodes: &mut [Node],
+    base: usize,
+    gate: &crate::RunGate,
+) -> Result<(), crate::GateStop> {
+    for (off, node) in nodes.iter_mut().enumerate() {
+        gate.check()?;
+        if node.events.is_empty() {
+            continue;
+        }
+        for f in &mut node.filters {
+            f.apply_batch(&node.events, base + off);
+        }
+        node.events.clear();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

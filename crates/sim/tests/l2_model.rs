@@ -198,8 +198,9 @@ proptest! {
         prop_assert_eq!(enumerated, expected, "valid_units enumeration");
     }
 
-    /// The allocating `fill` wrapper and the scratch-buffer `fill_into`
-    /// report identical eviction sets.
+    /// `fill_into` with a fresh eviction buffer and with one scratch
+    /// buffer reused across fills report identical eviction sets (the
+    /// reused buffer never leaks a previous fill's evictions).
     #[test]
     fn fill_wrapper_matches_fill_into(
         fills in prop::collection::vec((0..BLOCKS * SUBBLOCKS * 4, 1u64..100), 1..60)
@@ -211,9 +212,10 @@ proptest! {
             if a.state(UnitAddr::new(unit)).is_valid() {
                 continue;
             }
-            let wrapped = a.fill(UnitAddr::new(unit), Moesi::Exclusive, version);
+            let mut fresh = Vec::new();
+            a.fill_into(UnitAddr::new(unit), Moesi::Exclusive, version, &mut fresh);
             b.fill_into(UnitAddr::new(unit), Moesi::Exclusive, version, &mut scratch);
-            prop_assert_eq!(&wrapped, &scratch);
+            prop_assert_eq!(&fresh, &scratch);
         }
     }
 }

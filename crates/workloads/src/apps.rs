@@ -15,6 +15,8 @@
 //! L1 / 1 MB L2 rather than matching the paper's absolute megabytes — hit
 //! rates and sharing mix are what JETTY sees, not raw bytes.
 
+use std::ops::RangeInclusive;
+
 use crate::profile::{AppProfile, PaperStats, RegionLayout, SegmentSpec};
 
 const KB: u64 = 1024;
@@ -34,6 +36,15 @@ pub fn all() -> Vec<AppProfile> {
         raytrace(),
         unstructured(),
     ]
+}
+
+/// The processor counts every application can generate traces for: the
+/// intersection of each profile's [`AppProfile::supported_cpus`].
+pub fn supported_cpus() -> RangeInclusive<usize> {
+    all()
+        .iter()
+        .map(AppProfile::supported_cpus)
+        .fold(1..=usize::MAX, |a, b| *a.start().max(b.start())..=*a.end().min(b.end()))
 }
 
 /// Looks an application up by its two-letter abbreviation.

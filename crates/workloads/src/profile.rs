@@ -1,6 +1,8 @@
 //! Declarative workload profiles: segments, sharing patterns, and the
 //! paper's target statistics for calibration reporting.
 
+use std::ops::RangeInclusive;
+
 /// How per-CPU data is placed in the physical address space.
 ///
 /// This matters enormously for the Include-Jetty: with [`Arena`]
@@ -190,6 +192,22 @@ impl AppProfile {
     /// Sum of segment weights (the mixture normaliser).
     pub fn total_weight(&self) -> f64 {
         self.segments.iter().map(SegmentSpec::weight).sum()
+    }
+
+    /// The processor counts this profile can generate traces for: a
+    /// producer/consumer channel needs its producer and `consumers`
+    /// readers on distinct CPUs, and migratory sharing needs at least one
+    /// record per CPU.
+    pub fn supported_cpus(&self) -> RangeInclusive<usize> {
+        let (mut lo, mut hi) = (1, usize::MAX);
+        for seg in &self.segments {
+            match *seg {
+                SegmentSpec::ProducerConsumer { consumers, .. } => lo = lo.max(consumers + 1),
+                SegmentSpec::Migratory { records, .. } => hi = hi.min(records),
+                _ => {}
+            }
+        }
+        lo..=hi
     }
 
     /// Validates the profile's internal consistency.

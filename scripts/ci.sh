@@ -36,6 +36,11 @@ for shards in 1 2; do
   JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
 done
 
+# --check adds the protocol checkers; filter events still replay per
+# chunk, so a checked run must print the same tables.
+echo "==> golden output (checked): jetty-repro all --scale 0.02 --threads 2 --check vs tests/golden/all_scale002.txt"
+target/release/jetty-repro all --scale 0.02 --threads 2 --check | diff -u tests/golden/all_scale002.txt -
+
 echo "==> sweep smoke: jetty-repro sweep --scale 0.02 --threads 2"
 target/release/jetty-repro sweep --scale 0.02 --threads 2 >/dev/null
 
