@@ -189,15 +189,11 @@ pub struct SuiteTiming {
     /// Time the jobs spent simulating those chunks (summed across jobs;
     /// part of `elapsed`).
     pub sim: Duration,
-    /// Effective intra-run shard count the suite's jobs replayed snoop
-    /// work with (after the oversubscription cap against the worker
-    /// count) — surfaced as the `shards=` tag in `--timings`.
-    pub shards: usize,
 }
 
-/// The worker-pool executor. Built once per process (or per benchmark
-/// iteration) with a fixed thread count; hand it [`RunOptions`] batches and
-/// it returns per-suite results in request order.
+/// The worker-pool executor. Built once per process with a fixed thread
+/// count; hand it [`RunOptions`] batches and it returns per-suite results
+/// in request order.
 ///
 /// # Examples
 ///
@@ -219,12 +215,6 @@ pub struct SuiteTiming {
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
-    /// Requested intra-run shard count for per-node snoop replay (capped
-    /// against `threads` and the host at execution time; see
-    /// [`cap_shards`]). Shards never change results — only how the
-    /// deferred filter-event replay inside each job is parallelised — so
-    /// this is deliberately *not* part of the cache key.
-    shards: usize,
     /// Per-job wall-clock budget; `None` = unbounded.
     deadline: Option<Duration>,
     cache: SuiteCache,
@@ -249,7 +239,6 @@ impl Engine {
         assert!(threads >= 1, "the engine needs at least one worker thread");
         Self {
             threads,
-            shards: 1,
             deadline: None,
             cache: SuiteCache::new(),
             failed: Mutex::new(HashMap::new()),
@@ -262,12 +251,9 @@ impl Engine {
     }
 
     /// Builds an engine sized by [`Engine::default_threads`], with the
-    /// [`Engine::default_deadline`] job budget and the
-    /// [`Engine::default_shards`] intra-run shard count.
+    /// [`Engine::default_deadline`] job budget.
     pub fn with_default_threads() -> Self {
-        Self::new(Self::default_threads())
-            .with_deadline(Self::default_deadline())
-            .with_shards(Self::default_shards())
+        Self::new(Self::default_threads()).with_deadline(Self::default_deadline())
     }
 
     /// Sets the per-job wall-clock budget (`None` = unbounded). Checked
@@ -308,33 +294,20 @@ impl Engine {
         decision.threads
     }
 
-    /// Sets the requested intra-run shard count: how many slices the
-    /// per-node deferred snoop replay inside *each* job fans out to
-    /// (clamped to at least 1). The request is capped against the worker
-    /// count and the host at execution time (see `cap_shards`) so
-    /// suites×shards never oversubscribes the machine. Shards are a pure
-    /// performance knob: results are byte-identical at any count, which
-    /// is also why they are not part of the suite cache key.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Returns the engine unchanged. It exists only because the
+    /// reproduction benchmark (`perfbench/src/main.rs`) builds its engines
+    /// as `Engine::new(n).with_shards(Engine::default_shards())`; it goes
+    /// away with those calls at the benchmark's next change.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
-    /// The default intra-run shard count: the `JETTY_SHARDS` environment
-    /// variable when set to a positive integer, otherwise 1 (serial
-    /// replay). A garbage value is ignored with a one-line warning naming
-    /// the bad value and the fallback chosen.
+    /// Always 1; the other half of the [`Engine::with_shards`] shim kept
+    /// for the reproduction benchmark.
+    #[doc(hidden)]
     pub fn default_shards() -> usize {
-        let env = std::env::var("JETTY_SHARDS").ok();
-        let decision = resolve_shards(env.as_deref());
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_SHARDS={v:?} (want a positive integer); \
-                 replaying snoop work in {} shard(s)",
-                decision.shards
-            );
-        }
-        decision.shards
+        1
     }
 
     /// The default per-job deadline: the `JETTY_DEADLINE_MS` environment
@@ -356,12 +329,6 @@ impl Engine {
     /// The worker count this engine was built with.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The requested intra-run shard count (before the execution-time
-    /// oversubscription cap).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The per-job deadline this engine applies, when one is set.
@@ -469,8 +436,7 @@ impl Engine {
 
     /// Runs one suite through the worker pool without consulting or
     /// filling the cache (the engine-backed replacement for the historical
-    /// sequential [`run_suite`](crate::runner::run_suite); benchmarks use
-    /// it to measure real simulation work).
+    /// sequential [`run_suite`](crate::runner::run_suite)).
     pub fn run_suite_uncached(&self, options: &RunOptions) -> Result<Vec<AppRun>, JettyError> {
         self.execute(std::slice::from_ref(options))
             .pop()
@@ -494,11 +460,6 @@ impl Engine {
         // chunk boundary (their partial results could never be used).
         let cancels: Vec<Arc<AtomicBool>> =
             suites.iter().map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let shards = cap_shards(
-            self.shards,
-            self.threads,
-            thread::available_parallelism().ok().map(NonZeroUsize::get),
-        );
         let run_job = |job: &Job| -> JobOutcome {
             let started = Instant::now();
             let options = &suites[job.suite];
@@ -511,7 +472,7 @@ impl Engine {
             // the release profile aborts on panic by design, so there a
             // panic remains what it always was: a process-fatal bug.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_app_gated(&profiles[job.app], options, shards, &gate)
+                run_app_gated(&profiles[job.app], options, &gate)
             }))
             .unwrap_or_else(|payload| {
                 Err(JettyError::simulation(
@@ -577,7 +538,6 @@ impl Engine {
                     jobs: profiles.len(),
                     gen: split.gen,
                     sim: split.sim,
-                    shards,
                 });
             }
         }
@@ -667,43 +627,6 @@ fn resolve_default_threads(env: Option<&str>, available: Option<usize>) -> Threa
     match available {
         Some(n) => ThreadsDecision { threads: n, invalid_env, host_fallback: false },
         None => ThreadsDecision { threads: 1, invalid_env, host_fallback: true },
-    }
-}
-
-/// Outcome of the default-shard-count resolution (pure, like
-/// [`resolve_default_threads`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ShardsDecision {
-    /// The requested intra-run shard count.
-    shards: usize,
-    /// The `JETTY_SHARDS` value, when present but not a positive integer
-    /// (warned about, then ignored).
-    invalid_env: Option<String>,
-}
-
-/// A valid `JETTY_SHARDS` (positive integer) becomes the requested shard
-/// count; anything else is 1 (serial replay), flagging the invalid value.
-fn resolve_shards(env: Option<&str>) -> ShardsDecision {
-    match env {
-        None => ShardsDecision { shards: 1, invalid_env: None },
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => ShardsDecision { shards: n, invalid_env: None },
-            _ => ShardsDecision { shards: 1, invalid_env: Some(v.to_string()) },
-        },
-    }
-}
-
-/// Caps a requested shard count against the engine's worker count so
-/// `threads × shards` never oversubscribes the host: each of `threads`
-/// concurrent jobs may fan its replay out to the returned count. With an
-/// unknown host the request passes through (shards only ever change
-/// speed, not results, so the worst case is oversubscription, not
-/// corruption); the cap never drops below 1.
-fn cap_shards(requested: usize, threads: usize, available: Option<usize>) -> usize {
-    let requested = requested.max(1);
-    match available {
-        Some(cores) => requested.min((cores / threads.max(1)).max(1)),
-        None => requested,
     }
 }
 
@@ -976,58 +899,6 @@ mod tests {
             assert_eq!(d.deadline, None, "JETTY_DEADLINE_MS={bad:?}");
             assert_eq!(d.invalid_env.as_deref(), Some(bad));
         }
-    }
-
-    #[test]
-    fn shard_resolution_accepts_positive_counts_and_flags_garbage() {
-        assert_eq!(resolve_shards(None), ShardsDecision { shards: 1, invalid_env: None });
-        assert_eq!(resolve_shards(Some("4")), ShardsDecision { shards: 4, invalid_env: None });
-        assert_eq!(resolve_shards(Some(" 2 ")).shards, 2);
-        for bad in ["0", "-3", "many", "", "1.5"] {
-            let d = resolve_shards(Some(bad));
-            assert_eq!(d.shards, 1, "JETTY_SHARDS={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad));
-        }
-    }
-
-    #[test]
-    fn shard_cap_prevents_oversubscription() {
-        // One worker on an 8-core host: the full request fits.
-        assert_eq!(cap_shards(4, 1, Some(8)), 4);
-        // Four workers on the same host: each job gets at most two shards.
-        assert_eq!(cap_shards(4, 4, Some(8)), 2);
-        // More workers than cores: still at least one shard per job.
-        assert_eq!(cap_shards(4, 16, Some(8)), 1);
-        // Unknown host: the request passes through.
-        assert_eq!(cap_shards(3, 2, None), 3);
-        // A zero request is clamped up, never down.
-        assert_eq!(cap_shards(0, 1, Some(8)), 1);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_suite_results() {
-        let options = quick(0.004);
-        let serial = Engine::new(1).run_suite(&options).unwrap();
-        let sharded = Engine::new(1).with_shards(4).run_suite(&options).unwrap();
-        assert_eq!(serial.len(), sharded.len());
-        for (s, p) in serial.iter().zip(sharded.iter()) {
-            assert_eq!(s.refs, p.refs);
-            assert_eq!(s.run, p.run);
-            assert_eq!(s.reports.len(), p.reports.len());
-            for (sr, pr) in s.reports.iter().zip(p.reports.iter()) {
-                assert_eq!(sr.filtered, pr.filtered);
-                assert_eq!(sr.would_miss, pr.would_miss);
-                assert_eq!(sr.activities, pr.activities);
-            }
-        }
-    }
-
-    #[test]
-    fn env_override_reaches_default_shards_end_to_end() {
-        std::env::set_var("JETTY_SHARDS", "3");
-        let seen = Engine::default_shards();
-        std::env::remove_var("JETTY_SHARDS");
-        assert_eq!(seen, 3);
     }
 
     #[test]

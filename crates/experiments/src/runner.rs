@@ -275,24 +275,20 @@ pub fn run_app(profile: &AppProfile, options: &RunOptions) -> AppRun {
 /// separately at chunk granularity (two clock reads per ~8 K references —
 /// noise-level overhead).
 pub fn run_app_timed(profile: &AppProfile, options: &RunOptions) -> (AppRun, AppTiming) {
-    run_app_gated(profile, options, 1, &RunGate::unbounded())
+    run_app_gated(profile, options, &RunGate::unbounded())
         .unwrap_or_else(|e| panic!("unbounded fault-free run cannot fail: {e}"))
 }
 
-/// [`run_app_timed`] under a [`RunGate`] and the process fault plan, with
-/// the run's snoop replay fanned out to `shards` slices of the node array
-/// (1 = serial; shards never change results, see
-/// [`System::set_shards`]). The gate (and any armed `slow-suite` fault)
-/// is applied at every chunk boundary and, through
-/// [`System::run_chunk_gated`], inside the per-node replay of each chunk
-/// — so a deadline expiry or cooperative cancellation stops the job
-/// within one chunk's worth of work. With an unbounded gate and no faults
-/// armed this *is* [`run_app_timed`]: one inert fault lookup per job and
-/// cheap gate checks per chunk.
+/// [`run_app_timed`] under a [`RunGate`] and the process fault plan. The
+/// gate (and any armed `slow-suite` fault) is applied at every chunk
+/// boundary and, through [`System::run_chunk_gated`], inside the per-node
+/// replay of each chunk — so a deadline expiry or cooperative cancellation
+/// stops the job within one chunk's worth of work. With an unbounded gate
+/// and no faults armed this *is* [`run_app_timed`]: one inert fault lookup
+/// per job and cheap gate checks per chunk.
 pub fn run_app_gated(
     profile: &AppProfile,
     options: &RunOptions,
-    shards: usize,
     gate: &RunGate,
 ) -> Result<(AppRun, AppTiming), JettyError> {
     let faults = fault::active();
@@ -314,7 +310,7 @@ pub fn run_app_gated(
         }
         GateStop::Cancelled => JettyError::Cancelled { suite: options.id() },
     };
-    let mut system = System::new(options.system_config(), &options.specs).with_shards(shards);
+    let mut system = System::new(options.system_config(), &options.specs);
     let mut generator = TraceGen::new(profile, options.cpus, options.scale);
     let footprint = generator.footprint();
     let refs = generator.len();

@@ -22,7 +22,7 @@ const INITIAL_CAPACITY: usize = 16;
 
 /// Open-addressed insert-only `u64 → u64` map. See the module docs.
 #[derive(Clone, Debug, Default)]
-pub struct FastMap {
+pub(crate) struct FastMap {
     /// Slot keys; `EMPTY` marks a free slot. Length is a power of two
     /// (zero until the first insert).
     keys: Vec<u64>,
@@ -38,17 +38,19 @@ pub struct FastMap {
 impl FastMap {
     /// Creates an empty map; no storage is allocated until the first
     /// insert.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Entries stored.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len + usize::from(self.max_key_value.is_some())
     }
 
     /// `true` when nothing has been inserted.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -62,7 +64,7 @@ impl FastMap {
     }
 
     /// Looks up `key`.
-    pub fn get(&self, key: u64) -> Option<u64> {
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
         if key == EMPTY {
             return self.max_key_value;
         }
@@ -84,7 +86,7 @@ impl FastMap {
     }
 
     /// Inserts or overwrites `key → value`.
-    pub fn insert(&mut self, key: u64, value: u64) {
+    pub(crate) fn insert(&mut self, key: u64, value: u64) {
         if key == EMPTY {
             self.max_key_value = Some(value);
             return;

@@ -47,7 +47,7 @@
 
 mod bus;
 mod config;
-pub mod fastmap;
+mod fastmap;
 mod gate;
 mod l1;
 mod l2;
@@ -60,7 +60,6 @@ mod wb;
 
 pub use bus::{BusKind, SnoopResponse};
 pub use config::{CheckLevel, L1Config, L2Config, SystemConfig};
-pub use fastmap::FastMap;
 pub use gate::{GateStop, RunGate};
 pub use l1::{L1Cache, L1Lookup, L1Victim};
 pub use l2::{EvictedUnit, L2Cache};

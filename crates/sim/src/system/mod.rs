@@ -162,14 +162,6 @@ pub struct System {
     /// Reusable eviction scratch threaded through every L2 fill so the
     /// steady-state install path allocates nothing.
     evict_scratch: Vec<EvictedUnit>,
-    /// Worker shards for the end-of-chunk filter replay: nodes are
-    /// partitioned into this many contiguous slices and each slice's
-    /// event logs replay on its own scoped thread. Purely a performance
-    /// knob — the logs are recorded in global bus order by the serial
-    /// protocol pass and each node's replay is independent, so results
-    /// are byte-identical at any shard count. 1 (the default) keeps the
-    /// exact serial flush loop.
-    shards: usize,
 }
 
 // Compile-time audit that a whole simulated system can move across
@@ -209,23 +201,7 @@ impl System {
             memory_versions: FastMap::new(),
             latest_versions: FastMap::new(),
             evict_scratch: Vec::new(),
-            shards: 1,
         }
-    }
-
-    /// Sets the intra-run shard count for the end-of-chunk filter
-    /// replay (see the `shards` field). Values are clamped to at least
-    /// 1; counts beyond the node count are clamped at flush time.
-    /// Sharding never changes results, only how many threads replay
-    /// the per-node event logs.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// Builder twin of [`System::set_shards`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
-        self
     }
 
     /// The system configuration.
@@ -333,12 +309,11 @@ impl System {
 
     /// [`System::run_chunk`] under a [`RunGate`]: the serial protocol
     /// pass runs to completion (it is what establishes bus order), and
-    /// each shard worker of the end-of-chunk filter replay checks the
-    /// gate once per node, so a deadline or cancellation stops a
-    /// sharded run at the chunk boundary instead of waiting out the
-    /// whole flush. On `Err` the remaining nodes' event logs are left
-    /// unreplayed — the run is being abandoned, and the partial filter
-    /// state is never reported.
+    /// the end-of-chunk filter replay checks the gate once per node, so a
+    /// deadline or cancellation stops the run at the chunk boundary
+    /// instead of waiting out the whole flush. On `Err` the remaining
+    /// nodes' event logs are left pending; a later chunk (even an empty
+    /// one) replays them.
     ///
     /// [`RunGate`]: crate::RunGate
     pub fn run_chunk_gated(
@@ -353,47 +328,22 @@ impl System {
     }
 
     /// Replays every node's deferred filter events through its bank,
-    /// filter-major: the `AnyFilter` variant dispatch is hoisted outside
-    /// the event loop and each filter's probe/filtered counters are
-    /// accumulated in registers and charged once per batch.
-    ///
-    /// With `shards > 1` the nodes are partitioned into contiguous
-    /// slices and each slice replays on its own scoped worker thread
-    /// (shard 0 runs inline on the calling thread). This is safe and
-    /// deterministic by construction: the serial protocol pass already
-    /// recorded every node's events in global bus order, each node's
-    /// filter bank touches only that node's state, and the reporting
-    /// paths ([`System::run_stats`], [`System::filter_reports`])
-    /// aggregate in node-index order — so the merge back to global
-    /// results is the same at any shard count, byte for byte.
+    /// filter-major, and clears the logs, checking `gate` once per node:
+    /// the `AnyFilter` variant dispatch is hoisted outside the event loop
+    /// and each filter's probe/filtered counters are accumulated in
+    /// registers and charged once per batch.
     fn flush_filter_events(&mut self, gate: &crate::RunGate) -> Result<(), crate::GateStop> {
-        let shards = self.shards.min(self.nodes.len()).max(1);
-        if shards == 1 {
-            // The exact serial loop — no scope setup, and with an
-            // unbounded gate the per-node check is a single branch.
-            return replay_nodes(&mut self.nodes, 0, gate);
-        }
-        let per_shard = self.nodes.len().div_ceil(shards);
-        let mut results: Vec<Result<(), crate::GateStop>> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            let mut slices = self.nodes.chunks_mut(per_shard);
-            let first = slices.next().expect("at least one shard slice");
-            let handles: Vec<_> = slices
-                .enumerate()
-                .map(|(s, slice)| {
-                    let base = (s + 1) * per_shard;
-                    scope.spawn(move || replay_nodes(slice, base, gate))
-                })
-                .collect();
-            results.push(replay_nodes(first, 0, gate));
-            for h in handles {
-                results.push(h.join().expect("shard replay worker panicked"));
+        for (cpu, node) in self.nodes.iter_mut().enumerate() {
+            gate.check()?;
+            if node.events.is_empty() {
+                continue;
             }
-        });
-        // Deterministic merge of stop reasons: the lowest shard index
-        // wins, so a simultaneous deadline/cancel race cannot flip the
-        // reported error between runs of the same shard count.
-        results.into_iter().collect()
+            for f in &mut node.filters {
+                f.apply_batch(&node.events, cpu);
+            }
+            node.events.clear();
+        }
+        Ok(())
     }
 
     /// Performs one CPU access and replays the filter events it logged,
@@ -406,7 +356,7 @@ impl System {
     /// conditions).
     pub fn access(&mut self, cpu: usize, op: Op, addr: u64) -> AccessOutcome {
         let outcome = self.simulate(cpu, op, addr);
-        replay_nodes(&mut self.nodes, 0, &crate::RunGate::unbounded())
+        self.flush_filter_events(&crate::RunGate::unbounded())
             .unwrap_or_else(|stop| unreachable!("unbounded gate cannot stop a replay: {stop:?}"));
         outcome
     }
@@ -481,27 +431,6 @@ impl System {
     pub fn l1_contains(&self, cpu: usize, addr: u64) -> bool {
         self.nodes[cpu].l1.contains(self.space.unit_of(addr))
     }
-}
-
-/// Replays each node's logged filter events through its bank and clears
-/// the log, checking `gate` once per node. `base` is the index of
-/// `nodes[0]`, labelling the filter-safety panic.
-fn replay_nodes(
-    nodes: &mut [Node],
-    base: usize,
-    gate: &crate::RunGate,
-) -> Result<(), crate::GateStop> {
-    for (off, node) in nodes.iter_mut().enumerate() {
-        gate.check()?;
-        if node.events.is_empty() {
-            continue;
-        }
-        for f in &mut node.filters {
-            f.apply_batch(&node.events, base + off);
-        }
-        node.events.clear();
-    }
-    Ok(())
 }
 
 #[cfg(test)]

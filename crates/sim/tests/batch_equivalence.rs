@@ -238,3 +238,51 @@ fn full_check_runs_still_verify_through_run_chunk() {
     sys.verify_inclusion();
     sys.verify_filter_consistency();
 }
+
+/// A gated run whose deadline has already expired stops at the first
+/// per-node gate check of the end-of-chunk replay and reports the stop.
+/// The protocol pass has run, so every node's filter events are logged
+/// but none has replayed yet. Running an empty chunk under no gate then
+/// replays the pending logs, and the system is indistinguishable from one
+/// that never stopped: the same protocol statistics, the same filter
+/// reports, and filters that match the reference models.
+#[test]
+fn gated_replay_stops_at_an_expired_deadline_and_recovers() {
+    let refs: Vec<MemRef> = (0..1000u64)
+        .map(|i| MemRef {
+            cpu: (i % 4) as usize,
+            op: if i % 3 == 0 { Op::Write } else { Op::Read },
+            addr: (i % 48) * 32,
+        })
+        .collect();
+    let config = tiny_config(4, ProtocolKind::Moesi);
+    let specs = FilterSpec::paper_bank();
+
+    let mut sys = System::new(config, &specs);
+    let expired = jetty_sim::RunGate::with_budget(std::time::Duration::ZERO);
+    let stop = sys.run_chunk_gated(&refs, &expired).unwrap_err();
+    assert!(
+        matches!(stop, jetty_sim::GateStop::DeadlineExpired { budget_ms: 0 }),
+        "unexpected stop: {stop:?}"
+    );
+    for report in sys.filter_reports() {
+        assert_eq!(report.probes, 0, "{}: replayed before the gate stopped it", report.label);
+    }
+
+    sys.run_chunk(&[]);
+    let mut ungated = System::new(config, &specs);
+    ungated.run_chunk(&refs);
+    assert_eq!(sys.run_stats(), ungated.run_stats(), "protocol stats after recovery");
+    let (recovered, expected) = (sys.filter_reports(), ungated.filter_reports());
+    assert_eq!(recovered.len(), expected.len());
+    for (r, e) in recovered.iter().zip(&expected) {
+        assert_eq!(r.label, e.label);
+        assert_eq!(r.probes, e.probes, "{}: probes after recovery", r.label);
+        assert_eq!(r.filtered, e.filtered, "{}: filtered after recovery", r.label);
+        assert_eq!(r.would_miss, e.would_miss, "{}: would-miss after recovery", r.label);
+        assert_eq!(r.activities, e.activities, "{}: activity after recovery", r.label);
+    }
+    assert!(expected.iter().any(|e| e.probes > 0), "the trace must exercise the filters");
+    assert_reports_match_models(&sys, &observe(config, &specs, &refs), "recovered run");
+    sys.verify_filter_consistency();
+}

@@ -9,32 +9,21 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q (then sharded)"
+echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
-# A second leg fans the snoop replay out to two shards — any scheduling
-# sensitivity in the deterministic bus-order merge fails loudly here.
-JETTY_SHARDS=2 cargo test -q
 
-echo "==> cargo build --examples --benches"
-cargo build --examples --benches
-
-echo "==> cargo bench --no-run (benches must always compile)"
-cargo bench --no-run
+echo "==> cargo build --examples"
+cargo build --examples
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-# Golden stdout must be byte-identical at every shard count — the
-# intra-run replay fan-out is an implementation detail, never an
-# observable one.
-for shards in 1 2; do
-  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
-  JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
+echo "==> golden output: jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
+target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
 
-  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
-  JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
-done
+echo "==> golden output: jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
+target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
 
 # --check adds the protocol checkers; filter events still replay per
 # chunk, so a checked run must print the same tables.
