@@ -81,27 +81,24 @@ impl FilterSpec {
         )
     }
 
-    /// Builds a fresh filter instance for one SMP node.
-    ///
-    /// The returned box is [`Send`] ([`SnoopFilter`] requires it), so a
-    /// built bank — and the simulated system holding it — can be handed to
-    /// a worker thread. Hot simulation loops should prefer
-    /// [`FilterSpec::build_any`], which dispatches statically.
-    pub fn build(&self, space: AddrSpace) -> Box<dyn SnoopFilter> {
-        match *self {
-            FilterSpec::Null => Box::new(NullFilter::new()),
-            FilterSpec::Exclude(c) => Box::new(ExcludeJetty::new(c, space)),
-            FilterSpec::VectorExclude(c) => Box::new(VectorExcludeJetty::new(c, space)),
-            FilterSpec::Include(c) => Box::new(IncludeJetty::new(c, space)),
-            FilterSpec::Hybrid(c) => Box::new(HybridJetty::new(c, space)),
-        }
-    }
+    /// Largest filter [`FilterSpec::from_id`] accepts, in entries per
+    /// node: EJ/VEJ sets × ways, or IJ sub-arrays × 2^index-bits counters
+    /// (each half of a hybrid is capped on its own). A JETTY saves energy
+    /// only while it is much smaller than the L2 tag array it shields: the
+    /// paper's largest filter, IJ-10x4x7, has 4096 counters beside the
+    /// 32768 subblock tags of a 1 MB L2 with 32-byte subblocks, so 65536
+    /// entries is already twice that tag array. The cap turns a mistyped
+    /// size into an error instead of a per-node allocation that aborts the
+    /// process.
+    pub const MAX_ENTRIES: usize = 1 << 16;
 
-    /// Builds a fresh filter instance as an [`AnyFilter`] value (no heap
-    /// box, no vtable): the representation the simulator's per-node banks
-    /// store, so every chunk replay is a direct, inlinable call on
-    /// contiguous memory.
-    pub fn build_any(&self, space: AddrSpace) -> AnyFilter {
+    /// Builds a fresh filter instance for one SMP node, as an
+    /// [`AnyFilter`] value (no heap box, no vtable): the representation
+    /// the simulator's per-node banks store, so every chunk replay is a
+    /// direct, inlinable call on contiguous memory. The filter is [`Send`]
+    /// ([`SnoopFilter`] requires it), so a built bank — and the simulated
+    /// system holding it — can be handed to a worker thread.
+    pub fn build(&self, space: AddrSpace) -> AnyFilter {
         match *self {
             FilterSpec::Null => AnyFilter::Null(NullFilter::new()),
             FilterSpec::Exclude(c) => AnyFilter::Exclude(ExcludeJetty::new(c, space)),
@@ -155,8 +152,10 @@ impl FilterSpec {
     /// Parses a stable identifier produced by [`FilterSpec::id`]
     /// (case-insensitive, surrounding whitespace ignored). Returns `None`
     /// for unknown shapes *and* for invalid geometries (non-power-of-two
-    /// set counts, zero ways, out-of-range IJ widths), so CLI surfaces can
-    /// report errors instead of panicking in a config constructor.
+    /// set counts, zero ways, out-of-range IJ widths, VEJ vectors longer
+    /// than 64, filters over [`FilterSpec::MAX_ENTRIES`]), so CLI surfaces
+    /// can report errors instead of panicking in a config constructor or
+    /// aborting on an impossible allocation.
     pub fn from_id(id: &str) -> Option<Self> {
         let id = id.trim().to_ascii_lowercase();
         if id == "none" {
@@ -277,11 +276,13 @@ impl FilterSpec {
     }
 }
 
-/// Parses `SETSxWAYS`, validating what [`ExcludeConfig::new`] asserts.
+/// Parses `SETSxWAYS`, validating what [`ExcludeConfig::new`] asserts
+/// and the [`FilterSpec::MAX_ENTRIES`] cap.
 fn parse_ej_dims(s: &str) -> Option<(usize, usize)> {
     let (sets, ways) = s.split_once('x')?;
-    let (sets, ways) = (sets.parse().ok()?, ways.parse().ok()?);
-    (usize::is_power_of_two(sets) && ways > 0).then_some((sets, ways))
+    let (sets, ways): (usize, usize) = (sets.parse().ok()?, ways.parse().ok()?);
+    let capped = sets.checked_mul(ways).is_some_and(|n| n <= FilterSpec::MAX_ENTRIES);
+    (sets.is_power_of_two() && ways > 0 && capped).then_some((sets, ways))
 }
 
 /// Parses `SETSxWAYS-VLEN`, validating what [`VectorExcludeConfig::new`]
@@ -290,14 +291,16 @@ fn parse_vej_dims(s: &str) -> Option<(usize, usize, usize)> {
     let (dims, vlen) = s.split_once('-')?;
     let (sets, ways) = parse_ej_dims(dims)?;
     let vlen: usize = vlen.parse().ok()?;
-    (vlen.is_power_of_two() && vlen >= 2).then_some((sets, ways, vlen))
+    (vlen.is_power_of_two() && (2..=64).contains(&vlen)).then_some((sets, ways, vlen))
 }
 
-/// Parses `ExNxS`, validating what [`IncludeConfig::new`] asserts.
+/// Parses `ExNxS`, validating what [`IncludeConfig::new`] asserts and the
+/// [`FilterSpec::MAX_ENTRIES`] cap.
 fn parse_ij_dims(s: &str) -> Option<(u32, u32, u32)> {
     let mut it = s.split('x');
     let (e, n, s) = (it.next()?.parse().ok()?, it.next()?.parse().ok()?, it.next()?.parse().ok()?);
-    (it.next().is_none() && (1..=30).contains(&e) && n > 0 && s > 0).then_some((e, n, s))
+    let valid = it.next().is_none() && (1..=30).contains(&e) && n > 0 && s > 0;
+    (valid && (u64::from(n) << e) <= FilterSpec::MAX_ENTRIES as u64).then_some((e, n, s))
 }
 
 impl fmt::Display for FilterSpec {
@@ -311,9 +314,8 @@ impl fmt::Display for FilterSpec {
 /// The simulator replays every filter of every node's bank once per
 /// chunk; storing banks as `Vec<AnyFilter>` keeps the filter states in one
 /// contiguous allocation and turns each replay into a statically-dispatched
-/// (and inlinable) call — the `Box<dyn SnoopFilter>` route pays a pointer
-/// chase plus an indirect call per filter. `AnyFilter` itself implements
-/// [`SnoopFilter`], so generic code works with either representation.
+/// (and inlinable) call, with no pointer chase or indirect call per
+/// filter. `AnyFilter` implements [`SnoopFilter`].
 // The size spread between variants is deliberate: banks store filters by
 // value precisely to avoid the per-replay pointer chase a boxed large
 // variant would reintroduce, and banks are small (tens of filters).
@@ -443,6 +445,10 @@ mod tests {
         let mut bank = FilterSpec::paper_bank();
         bank.push(FilterSpec::Null);
         bank.push(FilterSpec::hybrid_scalar_eager(9, 4, 7, 32, 4));
+        // The largest sizes under the caps.
+        bank.push(FilterSpec::exclude(FilterSpec::MAX_ENTRIES, 1));
+        bank.push(FilterSpec::include(16, 1, 1));
+        bank.push(FilterSpec::vector_exclude(32, 4, 64));
         for spec in bank {
             assert_eq!(FilterSpec::from_id(&spec.id()), Some(spec), "{}", spec.id());
         }
@@ -466,6 +472,16 @@ mod tests {
             "ij-31x4x7",
             "ij-10x4",
             "ij-10x4x7x2",
+            "ij-30x100000x1",
+            "ij-17x1x1",
+            "ej-1048576x1048576",
+            "ej-65536x2",
+            "ej-9223372036854775808x4",
+            "vej-32x4-128",
+            "vej-16x4-1",
+            "hj-ij10x4x7-ej65536x2",
+            "hj-ij17x1x1-ej32x4",
+            "hj-ij10x4x7-vej32x4-128",
             "hj-ej32x4",
             "hj-ij10x4x7",
             "hj-ij10x4x7-xx",

@@ -39,7 +39,8 @@ pub struct VectorExcludeConfig {
     pub sets: usize,
     /// Associativity (entries per set).
     pub ways: usize,
-    /// Present-vector length in blocks; must be a power of two `>= 2`.
+    /// Present-vector length in blocks; must be a power of two in
+    /// `2..=64` (the present bits are one `u64` per entry).
     pub vector_len: usize,
 }
 
@@ -49,8 +50,9 @@ impl VectorExcludeConfig {
     /// # Panics
     ///
     /// Panics if `sets` or `vector_len` is not a power of two, if `ways` is
-    /// zero, or if `vector_len < 2` (use [`ExcludeConfig`](crate::ExcludeConfig)
-    /// for scalar entries).
+    /// zero, if `vector_len < 2` (use [`ExcludeConfig`](crate::ExcludeConfig)
+    /// for scalar entries), or if `vector_len > 64` (the present bits are
+    /// one `u64` per entry).
     pub fn new(sets: usize, ways: usize, vector_len: usize) -> Self {
         assert!(sets.is_power_of_two(), "VEJ sets must be a power of two, got {sets}");
         assert!(ways > 0, "VEJ associativity must be nonzero");
@@ -58,6 +60,7 @@ impl VectorExcludeConfig {
             vector_len.is_power_of_two() && vector_len >= 2,
             "VEJ vector length must be a power of two >= 2, got {vector_len}"
         );
+        assert!(vector_len <= 64, "VEJ vector length must be at most 64, got {vector_len}");
         Self { sets, ways, vector_len }
     }
 
@@ -365,6 +368,12 @@ mod tests {
     #[should_panic(expected = "power of two >= 2")]
     fn rejects_vector_len_one() {
         let _ = VectorExcludeConfig::new(8, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn rejects_vector_len_over_64() {
+        let _ = VectorExcludeConfig::new(32, 4, 128);
     }
 
     #[test]

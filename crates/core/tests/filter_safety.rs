@@ -93,7 +93,7 @@ fn drive(spec: FilterSpec, events: &[Event]) {
                 let sibling = addr ^ 1;
                 let scope =
                     if reference.contains(sibling) { MissScope::Unit } else { MissScope::Block };
-                let verdict = snoop(&mut *filter, unit, reference.contains(*addr), scope);
+                let verdict = snoop(&mut filter, unit, reference.contains(*addr), scope);
                 if verdict == Verdict::NotCached {
                     assert!(
                         !reference.contains(*addr),
@@ -227,8 +227,8 @@ proptest! {
         for &s in &snoops {
             let u = UnitAddr::new(s);
             let (cached, scope) = (unique.contains(&s), scope_for(&unique, s));
-            let ij_verdict = snoop(&mut *ij, u, cached, scope);
-            let hj_verdict = snoop(&mut *hj, u, cached, scope);
+            let ij_verdict = snoop(&mut ij, u, cached, scope);
+            let hj_verdict = snoop(&mut hj, u, cached, scope);
             if ij_verdict.is_filtered() {
                 prop_assert!(hj_verdict.is_filtered());
             }
@@ -264,7 +264,7 @@ proptest! {
         for spec in FilterSpec::paper_bank() {
             let mut f = spec.build(space);
             for &s in &snoops {
-                snoop(&mut *f, UnitAddr::new(s), false, scope_for(&[], s));
+                snoop(&mut f, UnitAddr::new(s), false, scope_for(&[], s));
             }
             let act = f.activity();
             prop_assert_eq!(act.probes, snoops.len() as u64);

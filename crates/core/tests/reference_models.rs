@@ -73,8 +73,8 @@ fn assert_matches_model(spec: &FilterSpec, actions: &[Action], chunk_len: usize,
     let space = AddrSpace::default();
     let events = build_events(actions, space, units);
     let mut model = Model::new(spec, space);
-    let mut stepped = spec.build_any(space);
-    let mut batched = spec.build_any(space);
+    let mut stepped = spec.build(space);
+    let mut batched = spec.build(space);
     for (i, &event) in events.iter().enumerate() {
         let expected = model.apply(event);
         let filtered = stepped.apply_batch(&[event], 0);

@@ -14,8 +14,8 @@
 //!
 //! Every suite-consuming subcommand draws its runs from one shared
 //! [`Engine`]: the needed suites are collected up front and executed
-//! concurrently on `--threads` workers (default: available parallelism,
-//! or `JETTY_THREADS`), then each exhibit populates typed
+//! concurrently on `--threads` workers (default: available parallelism),
+//! then each exhibit populates typed
 //! [`TableData`] records from the suite cache in paper order. The whole
 //! [`ResultSet`] is rendered once at the end by the `--format` renderer —
 //! aligned text (the default; byte-identical to the historical output),
@@ -99,15 +99,14 @@ fn usage() -> String {
          --format selects the output renderer: text json csv (default: text)\n\
          --axis configures the sweep grid (repeatable; axes: cpus protocol \
          filter scale nsb), e.g. --axis cpus=4,8 --axis protocol=moesi,msi\n\
-         --threads defaults to available parallelism (env override: JETTY_THREADS)\n\
+         --threads defaults to available parallelism\n\
          --timings reports per-suite wall-clock on stderr (stdout untouched)\n\
          --store appends this invocation's results to an append-only run \
          store file (and is where `runs`/`diff` read from)\n\
          --timing-band makes `diff` also fail when run B is more than PCT \
          percent slower than run A\n\
-         --deadline-ms caps each simulation job's wall-clock (env default: \
-         JETTY_DEADLINE_MS); an expired job fails its suite, it does not \
-         abort the invocation\n\
+         --deadline-ms caps each simulation job's wall-clock; an expired \
+         job fails its suite, it does not abort the invocation\n\
          --strict makes `runs` exit nonzero when the store has a damaged \
          tail (default: warn and list the intact prefix)\n\
          exit codes: 0 = clean, 2 = partial (results rendered but some \
@@ -124,8 +123,7 @@ struct Cli {
     scale: f64,
     cpus: usize,
     /// `None` = no `--threads` flag; resolved via [`Engine::default_threads`]
-    /// only when an engine is actually built (so an invalid `JETTY_THREADS`
-    /// never warns when it is overridden or unused).
+    /// only when an engine is actually built.
     threads: Option<usize>,
     format: Format,
     csv_dir: Option<PathBuf>,
@@ -144,9 +142,7 @@ struct Cli {
     /// `--timing-band PCT`: the allowed slowdown before `diff` fails on
     /// timing (requires `diff`; `None` disables the timing check).
     timing_band: Option<f64>,
-    /// `--deadline-ms MS`: per-job wall-clock budget. `None` = no flag;
-    /// resolved via [`Engine::default_deadline`] (the `JETTY_DEADLINE_MS`
-    /// environment variable) only when suites actually run.
+    /// `--deadline-ms MS`: per-job wall-clock budget. `None` = unbounded.
     deadline_ms: Option<u64>,
     /// `--strict`: make `runs` treat a damaged store tail as a failure
     /// (exit 1) instead of a stderr warning.
@@ -496,16 +492,12 @@ fn main() -> ExitCode {
         prefetch.extend(grid.suites(cli.check));
     }
     // Size the pool only when suites will actually run, so commands that
-    // never simulate (and explicit `--threads`/`--deadline-ms`) skip the
-    // env lookups.
+    // never simulate skip the parallelism lookup.
     let engine = if prefetch.is_empty() {
         Engine::new(1)
     } else {
-        let deadline = match cli.deadline_ms {
-            Some(ms) => Some(Duration::from_millis(ms)),
-            None => Engine::default_deadline(),
-        };
-        Engine::new(cli.threads.unwrap_or_else(Engine::default_threads)).with_deadline(deadline)
+        Engine::new(cli.threads.unwrap_or_else(Engine::default_threads))
+            .with_deadline(cli.deadline_ms.map(Duration::from_millis))
     };
     // Per-suite wall-clock attribution (stderr only): lets perf work blame
     // time without external profilers. Printed after every batch the

@@ -20,9 +20,8 @@
 //! function of `(profile, cpus, scale)` and [`System`] of the trace and
 //! options — so execution order cannot change any result. Jobs write into
 //! pre-assigned slots and suites are reassembled in application order,
-//! making engine output identical to the sequential path byte for byte;
-//! with one thread the engine *is* the sequential path (no threads are
-//! spawned at all).
+//! so the output is byte-identical at every worker count; with one worker
+//! the jobs simply run one after another in job order.
 //!
 //! # Failure model
 //!
@@ -60,7 +59,7 @@
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -250,12 +249,6 @@ impl Engine {
         }
     }
 
-    /// Builds an engine sized by [`Engine::default_threads`], with the
-    /// [`Engine::default_deadline`] job budget.
-    pub fn with_default_threads() -> Self {
-        Self::new(Self::default_threads()).with_deadline(Self::default_deadline())
-    }
-
     /// Sets the per-job wall-clock budget (`None` = unbounded). Checked
     /// cooperatively at chunk boundaries, so expiry cancels a job within
     /// one chunk's worth of work and surfaces as
@@ -265,33 +258,23 @@ impl Engine {
         self
     }
 
-    /// The default worker count: the `JETTY_THREADS` environment variable
-    /// when set to a positive integer, otherwise the host's available
-    /// parallelism (1 if that cannot be determined — logged once per
-    /// process, since silently dropping to a single worker on a big host
-    /// is worth knowing about).
+    /// The default worker count: the host's available parallelism, or 1
+    /// when that cannot be determined (logged once per process, since
+    /// silently dropping to a single worker on a big host is worth knowing
+    /// about).
     pub fn default_threads() -> usize {
-        let env = std::env::var("JETTY_THREADS").ok();
         let available = thread::available_parallelism().ok().map(NonZeroUsize::get);
-        let decision = resolve_default_threads(env.as_deref(), available);
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_THREADS={v:?} (want a positive integer); \
-                 using {} worker thread(s)",
-                decision.threads
-            );
-        }
-        if decision.host_fallback {
-            static FALLBACK_WARNING: std::sync::Once = std::sync::Once::new();
+        let (threads, host_fallback) = host_threads(available);
+        if host_fallback {
+            static FALLBACK_WARNING: Once = Once::new();
             FALLBACK_WARNING.call_once(|| {
                 eprintln!(
                     "warning: could not determine available parallelism; \
-                     defaulting to 1 worker thread (set JETTY_THREADS or \
-                     --threads to override)"
+                     defaulting to 1 worker thread (pass --threads to override)"
                 );
             });
         }
-        decision.threads
+        threads
     }
 
     /// Returns the engine unchanged. It exists only because the
@@ -308,22 +291,6 @@ impl Engine {
     #[doc(hidden)]
     pub fn default_shards() -> usize {
         1
-    }
-
-    /// The default per-job deadline: the `JETTY_DEADLINE_MS` environment
-    /// variable when set to a positive integer of milliseconds, otherwise
-    /// unbounded. A garbage value is ignored with a one-line warning
-    /// naming the bad value and the fallback chosen.
-    pub fn default_deadline() -> Option<Duration> {
-        let env = std::env::var("JETTY_DEADLINE_MS").ok();
-        let decision = resolve_deadline(env.as_deref());
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_DEADLINE_MS={v:?} (want a positive integer \
-                 of milliseconds); running without a job deadline"
-            );
-        }
-        decision.deadline
     }
 
     /// The worker count this engine was built with.
@@ -486,13 +453,25 @@ impl Engine {
             (result, started.elapsed())
         };
 
-        let outcomes: Vec<JobOutcome> = if self.threads == 1 || jobs.len() == 1 {
-            // The sequential path: same loop the pre-engine runner had,
-            // on the caller's thread.
-            jobs.iter().map(run_job).collect()
-        } else {
-            self.execute_parallel(suites, &jobs, &run_job)
-        };
+        // Workers claim jobs through a shared atomic cursor and deposit
+        // outcomes into the slot matching the job index, so assembly order
+        // is independent of completion order.
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
+        thread::scope(|scope| {
+            for _ in 0..self.threads.min(jobs.len()) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let _ = slots[i].set(run_job(job));
+                });
+            }
+        });
+        // `thread::scope` re-raises a worker panic that escaped
+        // `catch_unwind`, so every slot is filled once it returns.
+        let outcomes = slots.into_iter().map(|slot| {
+            slot.into_inner().unwrap_or_else(|| unreachable!("a finished scope fills every slot"))
+        });
         self.jobs_executed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
 
         let mut out: Vec<Result<Vec<AppRun>, JettyError>> =
@@ -543,48 +522,6 @@ impl Engine {
         }
         out
     }
-
-    /// Drains `jobs` with a pool of scoped threads. Workers claim jobs
-    /// through a shared atomic cursor and deposit outcomes (with per-job
-    /// wall-clock) into the slot matching the job index, so assembly order
-    /// is independent of completion order. A slot left empty — a worker
-    /// that died without depositing, which catch_unwind makes unreachable
-    /// in unwind builds — degrades to a per-job error, never a panic.
-    fn execute_parallel(
-        &self,
-        suites: &[RunOptions],
-        jobs: &[Job],
-        run_job: &(dyn Fn(&Job) -> JobOutcome + Sync),
-    ) -> Vec<JobOutcome> {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for _ in 0..self.threads.min(jobs.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    *lock_recover(&slots[i]) = Some(run_job(job));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let outcome = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                outcome.unwrap_or_else(|| {
-                    let options = &suites[jobs[i].suite];
-                    (
-                        Err(JettyError::simulation(
-                            options.id(),
-                            "worker died without depositing a result",
-                        )),
-                        Duration::ZERO,
-                    )
-                })
-            })
-            .collect()
-    }
 }
 
 /// Best-effort text of a caught panic payload (`&str` or `String`
@@ -597,61 +534,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Outcome of the default-thread-count resolution (pure; separated from
-/// [`Engine::default_threads`] so the precedence rules are unit-testable
-/// without mutating process environment or depending on the host).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ThreadsDecision {
-    /// The worker count to use.
-    threads: usize,
-    /// The `JETTY_THREADS` value, when present but not a positive integer
-    /// (warned about, then ignored).
-    invalid_env: Option<String>,
-    /// `true` when available parallelism could not be determined and the
-    /// count silently fell back to 1 (logged once per process).
-    host_fallback: bool,
-}
-
-/// Precedence: a valid `JETTY_THREADS` wins; otherwise the host's
-/// available parallelism; otherwise 1 (with `host_fallback` set).
-fn resolve_default_threads(env: Option<&str>, available: Option<usize>) -> ThreadsDecision {
-    let mut invalid_env = None;
-    if let Some(v) = env {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                return ThreadsDecision { threads: n, invalid_env: None, host_fallback: false }
-            }
-            _ => invalid_env = Some(v.to_string()),
-        }
-    }
+/// The worker count for a host reporting `available` parallelism, and
+/// whether it fell back to 1 because the host could not say (pure, so the
+/// fallback is unit-testable without depending on the host).
+fn host_threads(available: Option<usize>) -> (usize, bool) {
     match available {
-        Some(n) => ThreadsDecision { threads: n, invalid_env, host_fallback: false },
-        None => ThreadsDecision { threads: 1, invalid_env, host_fallback: true },
-    }
-}
-
-/// Outcome of the default-deadline resolution (pure, like
-/// [`resolve_default_threads`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct DeadlineDecision {
-    /// The budget to apply; `None` = unbounded.
-    deadline: Option<Duration>,
-    /// The `JETTY_DEADLINE_MS` value, when present but not a positive
-    /// integer (warned about, then ignored).
-    invalid_env: Option<String>,
-}
-
-/// A valid `JETTY_DEADLINE_MS` (positive integer milliseconds) becomes
-/// the budget; anything else is unbounded, flagging the invalid value.
-fn resolve_deadline(env: Option<&str>) -> DeadlineDecision {
-    match env {
-        None => DeadlineDecision { deadline: None, invalid_env: None },
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => {
-                DeadlineDecision { deadline: Some(Duration::from_millis(n)), invalid_env: None }
-            }
-            _ => DeadlineDecision { deadline: None, invalid_env: Some(v.to_string()) },
-        },
+        Some(n) => (n, false),
+        None => (1, true),
     }
 }
 
@@ -792,6 +681,16 @@ mod tests {
     }
 
     #[test]
+    fn unknown_parallelism_falls_back_to_one_and_says_so() {
+        assert_eq!(host_threads(None), (1, true));
+    }
+
+    #[test]
+    fn no_override_uses_host_parallelism() {
+        assert_eq!(host_threads(Some(12)), (12, false));
+    }
+
+    #[test]
     fn default_threads_is_positive() {
         assert!(Engine::default_threads() >= 1);
     }
@@ -847,76 +746,5 @@ mod tests {
         let results = engine.run_suites(&[healthy.clone(), doomed.clone()]);
         assert!(results[0].is_ok() && results[1].is_ok(), "fresh engine has no memo");
         assert_eq!(strict.run_suites(&[doomed]).pop().unwrap().unwrap_err().kind(), "deadline");
-    }
-
-    #[test]
-    fn jetty_threads_override_takes_precedence() {
-        // A valid override wins over any host parallelism.
-        let d = resolve_default_threads(Some("6"), Some(64));
-        assert_eq!(d, ThreadsDecision { threads: 6, invalid_env: None, host_fallback: false });
-        // ...including when the host count is unknown (no fallback logged:
-        // the override answered the question).
-        let d = resolve_default_threads(Some(" 3 "), None);
-        assert_eq!(d, ThreadsDecision { threads: 3, invalid_env: None, host_fallback: false });
-    }
-
-    #[test]
-    fn invalid_override_falls_through_to_the_host() {
-        for bad in ["0", "-2", "four", ""] {
-            let d = resolve_default_threads(Some(bad), Some(8));
-            assert_eq!(d.threads, 8, "JETTY_THREADS={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad));
-            assert!(!d.host_fallback);
-        }
-    }
-
-    #[test]
-    fn unknown_parallelism_falls_back_to_one_and_says_so() {
-        let d = resolve_default_threads(None, None);
-        assert_eq!(d, ThreadsDecision { threads: 1, invalid_env: None, host_fallback: true });
-        let d = resolve_default_threads(Some("nope"), None);
-        assert_eq!(d.threads, 1);
-        assert!(d.host_fallback);
-        assert!(d.invalid_env.is_some());
-    }
-
-    #[test]
-    fn no_override_uses_host_parallelism() {
-        let d = resolve_default_threads(None, Some(12));
-        assert_eq!(d, ThreadsDecision { threads: 12, invalid_env: None, host_fallback: false });
-    }
-
-    #[test]
-    fn deadline_resolution_accepts_positive_millis_and_flags_garbage() {
-        assert_eq!(resolve_deadline(None), DeadlineDecision { deadline: None, invalid_env: None });
-        assert_eq!(
-            resolve_deadline(Some("250")),
-            DeadlineDecision { deadline: Some(Duration::from_millis(250)), invalid_env: None }
-        );
-        assert_eq!(resolve_deadline(Some(" 90 ")).deadline, Some(Duration::from_millis(90)));
-        for bad in ["0", "-5", "soon", "", "1.5"] {
-            let d = resolve_deadline(Some(bad));
-            assert_eq!(d.deadline, None, "JETTY_DEADLINE_MS={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad));
-        }
-    }
-
-    #[test]
-    fn env_override_reaches_default_threads_end_to_end() {
-        // Process-global env mutation: set, observe, restore. The only
-        // other env-sensitive test in this binary tolerates any positive
-        // count, so a transient override cannot break it.
-        std::env::set_var("JETTY_THREADS", "5");
-        let seen = Engine::default_threads();
-        std::env::remove_var("JETTY_THREADS");
-        assert_eq!(seen, 5);
-    }
-
-    #[test]
-    fn env_override_reaches_default_deadline_end_to_end() {
-        std::env::set_var("JETTY_DEADLINE_MS", "1234");
-        let seen = Engine::default_deadline();
-        std::env::remove_var("JETTY_DEADLINE_MS");
-        assert_eq!(seen, Some(Duration::from_millis(1234)));
     }
 }

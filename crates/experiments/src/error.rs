@@ -62,8 +62,8 @@ pub enum JettyError {
     /// A user-facing configuration problem: malformed run references, bad
     /// flag values that survive parsing, and similar.
     Config(String),
-    /// A job blew through its `--deadline-ms`/`JETTY_DEADLINE_MS` budget
-    /// and was cancelled at a chunk boundary.
+    /// A job blew through its `--deadline-ms` budget and was cancelled at
+    /// a chunk boundary.
     Deadline {
         /// [`RunOptions::id`](crate::RunOptions::id) of the timed-out suite.
         suite: String,

@@ -4,9 +4,9 @@
 //! per-suite errors, store retries, deadline cancellation) are only
 //! trustworthy if CI can walk them on demand. This module is the switch:
 //! a comma-separated spec list resolved **once** per process from the
-//! `JETTY_FAULT` environment variable — the same split as `JETTY_THREADS`
-//! (a pure, unit-testable parser behind an env-reading resolver that
-//! warns on invalid values) — compiled in always but inert when unset.
+//! `JETTY_FAULT` environment variable (a pure, unit-testable parser
+//! behind an env-reading resolver that warns on invalid values) —
+//! compiled in always but inert when unset.
 //! The no-fault cost is one lazily-initialised atomic load plus an
 //! `is_empty()` check per *job* (not per event), which is unmeasurable
 //! next to a simulation job's millions of references.
@@ -103,8 +103,8 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
 }
 
 /// Parses a full comma-separated `JETTY_FAULT` value (pure — this is the
-/// unit-testable half of the resolver, like `resolve_default_threads`
-/// for `JETTY_THREADS`). Any invalid spec rejects the whole list.
+/// unit-testable half of the resolver). Any invalid spec rejects the
+/// whole list.
 pub fn parse_fault_specs(value: &str) -> Result<Vec<FaultSpec>, String> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty()).map(parse_spec).collect()
 }

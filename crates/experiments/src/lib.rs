@@ -30,8 +30,7 @@
 //!
 //! Pass `--scale 0.1` for a 10x shorter run, `--cpus 8` for the 8-way
 //! configuration, `--threads N` to size the parallel experiment engine
-//! (default: available parallelism, or the `JETTY_THREADS` environment
-//! variable), and `--format {text,json,csv}` to pick an output renderer
+//! (default: available parallelism), and `--format {text,json,csv}` to pick an output renderer
 //! (`--csv DIR` still dumps per-table CSV files).
 //!
 //! The crate is layered as *collect typed, render late*:

@@ -346,10 +346,10 @@ pub fn run_app_gated(
     Ok((run, timing))
 }
 
-/// Runs the full ten-application suite sequentially on the calling
-/// thread.
+/// Runs the full ten-application suite on one worker, one application
+/// after another.
 ///
-/// This is the single-threaded, uncached entry into the [`Engine`];
+/// This is the single-worker, uncached entry into the [`Engine`];
 /// callers that want concurrency or suite reuse should hold an engine
 /// themselves (as `jetty-repro` does).
 pub fn run_suite(options: &RunOptions) -> Vec<AppRun> {

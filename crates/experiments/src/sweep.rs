@@ -194,7 +194,9 @@ impl SweepGrid {
                 self.filters = parse_list(axis, values, |raw| {
                     FilterSpec::from_id(raw).ok_or(format!(
                         "axis filter: unknown filter id {raw:?} \
-                         (e.g. ej-32x4, vej-16x4-8, ij-10x4x7, hj-ij10x4x7-ej32x4, none)"
+                         (e.g. ej-32x4, vej-16x4-8, ij-10x4x7, hj-ij10x4x7-ej32x4, none; \
+                         at most {} entries per filter, VEJ vectors of at most 64)",
+                        FilterSpec::MAX_ENTRIES
                     ))
                 })?;
             }
@@ -490,6 +492,9 @@ mod tests {
             (Axis::Protocol, "mosi"),
             (Axis::Filter, "ej-31x4"),
             (Axis::Filter, "what"),
+            (Axis::Filter, "vej-32x4-128"),
+            (Axis::Filter, "ej-1048576x1048576"),
+            (Axis::Filter, "ij-30x100000x1"),
             (Axis::Scale, "0"),
             (Axis::Scale, "-1"),
             (Axis::Scale, "inf"),

@@ -43,7 +43,7 @@ fn help_documents_threads_flag() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("--threads"));
-    assert!(stdout.contains("JETTY_THREADS"));
+    assert!(!stdout.contains("JETTY_THREADS"), "the removed env override must stay undocumented");
 }
 
 #[test]
@@ -213,6 +213,9 @@ fn axis_flag_validates_names_and_values() {
         (vec!["sweep", "--axis", "cpus=4,65"], "supports 4 to 64 CPUs"),
         (vec!["sweep", "--axis", "protocol=mosi"], "unknown protocol"),
         (vec!["sweep", "--axis", "filter=what"], "unknown filter id"),
+        (vec!["sweep", "--axis", "filter=vej-32x4-128"], "VEJ vectors of at most 64"),
+        (vec!["sweep", "--axis", "filter=ej-1048576x1048576"], "at most 65536 entries"),
+        (vec!["sweep", "--axis", "filter=ij-30x100000x1"], "at most 65536 entries"),
         (vec!["sweep", "--axis", "scale=0"], "positive"),
         (vec!["sweep", "--axis", "scale=nan"], "at most 100"),
         (vec!["sweep", "--axis", "scale=inf"], "at most 100"),
@@ -220,7 +223,7 @@ fn axis_flag_validates_names_and_values() {
         (vec!["sweep", "--axis", "cpus=4,4"], "duplicate"),
     ] {
         let out = repro(&args);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail with exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     }
@@ -347,42 +350,54 @@ fn repro_with_env(env: &[(&str, &str)], args: &[&str]) -> Output {
 }
 
 #[test]
-fn garbage_env_overrides_warn_once_and_name_the_fallback() {
-    // Each resolve-once env knob must survive garbage: one stderr warning
-    // naming the rejected value AND the fallback chosen, clean exit, and
-    // stdout identical to the unconfigured run.
+fn removed_env_overrides_are_ignored() {
+    // `--threads` and `--deadline-ms` have no environment copies: their
+    // old variables change nothing, not even with garbage values, and
+    // draw no warning.
     let clean = repro(&["table2", "--scale", "0.002"]);
     assert!(clean.status.success());
-
-    for (var, value, fallback_hint) in [
-        ("JETTY_THREADS", "banana", "worker thread(s)"),
-        ("JETTY_DEADLINE_MS", "soon", "running without a job deadline"),
-    ] {
+    for (var, value) in [("JETTY_THREADS", "banana"), ("JETTY_DEADLINE_MS", "soon")] {
         let out = repro_with_env(&[(var, value)], &["table2", "--scale", "0.002"]);
         assert!(out.status.success(), "{var}={value} must not fail the run");
         assert_eq!(out.stdout, clean.stdout, "{var}={value} changed stdout");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let warning: Vec<&str> =
-            stderr.lines().filter(|l| l.contains(&format!("invalid {var}"))).collect();
-        assert_eq!(warning.len(), 1, "{var}={value}: want exactly one warning, got: {stderr}");
-        assert!(warning[0].starts_with("warning: ignoring"), "{var}: {}", warning[0]);
-        assert!(warning[0].contains(&format!("{value:?}")), "{var} warning must name the value");
-        assert!(warning[0].contains(fallback_hint), "{var} warning must name the fallback");
+        assert!(!stderr.contains(var), "{var} must draw no warning: {stderr}");
     }
 }
 
 #[test]
-fn explicit_flags_suppress_the_env_lookup() {
-    // An explicit --threads / --deadline-ms wins silently: the garbage
-    // env value is never even inspected.
-    let out = repro_with_env(
-        &[("JETTY_THREADS", "banana"), ("JETTY_DEADLINE_MS", "soon")],
-        &["table2", "--scale", "0.002", "--threads", "2", "--deadline-ms", "60000"],
-    );
-    assert!(out.status.success());
+fn garbage_env_overrides_warn_once_and_name_the_fallback() {
+    // The resolve-once env knob that remains, JETTY_FAULT, must survive
+    // garbage: one stderr warning naming the rejected value AND the
+    // fallback chosen, clean exit, and stdout identical to the
+    // unconfigured run.
+    let clean = repro(&["table2", "--scale", "0.002"]);
+    assert!(clean.status.success());
+    let (var, value) = ("JETTY_FAULT", "flip-bits@everywhere");
+    let out = repro_with_env(&[(var, value)], &["table2", "--scale", "0.002"]);
+    assert!(out.status.success(), "{var}={value} must not fail the run");
+    assert_eq!(out.stdout, clean.stdout, "{var}={value} changed stdout");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("invalid JETTY_THREADS"), "{stderr}");
-    assert!(!stderr.contains("invalid JETTY_DEADLINE_MS"), "{stderr}");
+    let warning: Vec<&str> =
+        stderr.lines().filter(|l| l.contains(&format!("invalid {var}"))).collect();
+    assert_eq!(warning.len(), 1, "{var}={value}: want exactly one warning, got: {stderr}");
+    assert!(warning[0].starts_with("warning: ignoring"), "{var}: {}", warning[0]);
+    assert!(warning[0].contains(&format!("{value:?}")), "{var} warning must name the value");
+    assert!(warning[0].contains("no faults injected"), "{var} warning must name the fallback");
+}
+
+#[test]
+fn explicit_flags_suppress_the_env_lookup() {
+    // An explicit --threads / --deadline-ms runs silently beside garbage
+    // in the removed variables: nothing inspects them.
+    let env = [("JETTY_THREADS", "banana"), ("JETTY_DEADLINE_MS", "soon")];
+    let args = ["table2", "--scale", "0.002", "--threads", "2", "--deadline-ms", "60000"];
+    let out = repro_with_env(&env, &args);
+    assert!(out.status.success());
+    assert_eq!(out.stdout, repro(&args).stdout, "the removed variables changed stdout");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("JETTY_THREADS"), "{stderr}");
+    assert!(!stderr.contains("JETTY_DEADLINE_MS"), "{stderr}");
 }
 
 #[test]
@@ -482,9 +497,10 @@ fn help_documents_the_failure_surfaces() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["--deadline-ms", "JETTY_DEADLINE_MS", "--strict", "exit codes:"] {
+    for needle in ["--deadline-ms", "--strict", "exit codes:"] {
         assert!(stdout.contains(needle), "help must document {needle}: {stdout}");
     }
+    assert!(!stdout.contains("JETTY_DEADLINE_MS"), "the env default must stay undocumented");
 }
 
 #[test]

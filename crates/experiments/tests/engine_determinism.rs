@@ -1,5 +1,5 @@
 //! The engine's acceptance bar: parallel execution must be byte-identical
-//! to the sequential path, at the library level (rendered `Table`s) and at
+//! to a one-worker run, at the library level (rendered `Table`s) and at
 //! the binary level (`jetty-repro` stdout).
 
 use std::process::Command;

@@ -2,11 +2,11 @@
 //! pipeline gracefully instead of tearing it down.
 //!
 //! Every test spawns the `jetty-repro` binary because `JETTY_FAULT` is
-//! read from the process environment (like `JETTY_THREADS`) and resolved
-//! once per process — a fresh process per scenario keeps the injections
-//! independent. The spawned binary is the
-//! test-profile build, which unwinds on panic, so worker-panic containment
-//! is observable here even though the release profile aborts.
+//! read from the process environment and resolved once per process — a
+//! fresh process per scenario keeps the injections independent. The
+//! spawned binary is the test-profile build, which unwinds on panic, so
+//! worker-panic containment is observable here even though the release
+//! profile aborts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};

@@ -5,9 +5,9 @@
 //! a 4-way (or 8-way) SMP where each node has a 64 KB direct-mapped L1,
 //! a 1 MB direct-mapped L2 with 64-byte blocks of two 32-byte subblocks,
 //! a small writeback buffer, and subblock-grain coherence over an atomic
-//! snoopy bus. The coherence protocol is pluggable ([`protocol`]): the
-//! paper's MOESI is the default, with MESI and MSI opening the protocol
-//! axis as a sweepable scenario dimension.
+//! snoopy bus. The coherence protocol is a configuration value
+//! ([`ProtocolKind`]): the paper's MOESI is the default, with MESI and MSI
+//! opening the protocol axis as a sweepable scenario dimension.
 //!
 //! The paper used the Wisconsin Wind Tunnel II executing SPLASH-2 binaries;
 //! JETTY only observes the *bus reference stream* and the *local cache
@@ -47,7 +47,6 @@
 
 mod bus;
 mod config;
-mod fastmap;
 mod gate;
 mod l1;
 mod l2;
@@ -64,9 +63,7 @@ pub use gate::{GateStop, RunGate};
 pub use l1::{L1Cache, L1Lookup, L1Victim};
 pub use l2::{EvictedUnit, L2Cache};
 pub use moesi::Moesi;
-pub use protocol::{
-    CoherenceProtocol, MesiProtocol, MoesiProtocol, MsiProtocol, ProtocolKind, ReadReaction,
-};
+pub use protocol::{ProtocolKind, ReadReaction};
 pub use stats::{NodeStats, RunStats, SystemStats};
 pub use system::{AccessOutcome, FilterReport, System};
 pub use trace::{MemRef, Op};

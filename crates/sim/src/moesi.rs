@@ -1,12 +1,12 @@
 //! MOESI coherence states, maintained per 32-byte L2 subblock (paper §4.1:
 //! "Coherence is maintained at the subblock level using a MOESI protocol").
 //!
-//! `Moesi` doubles as the shared state universe for every pluggable
-//! protocol (see [`crate::protocol`]): MESI uses the subset without
+//! `Moesi` doubles as the shared state universe for every protocol (see
+//! [`crate::protocol`]): MESI uses the subset without
 //! `Owned`, MSI additionally drops `Exclusive`. The state-query helpers
 //! here (`is_dirty`, `is_writable`, …) are protocol-independent facts
-//! about a state; protocol-*dependent* transitions live behind
-//! [`CoherenceProtocol`](crate::protocol::CoherenceProtocol).
+//! about a state; protocol-*dependent* transitions are methods of
+//! [`ProtocolKind`](crate::protocol::ProtocolKind).
 
 use std::fmt;
 

@@ -4,15 +4,14 @@
 //! Each snoop follows the exact path JETTY is about: the writeback buffer
 //! is always probed (never filtered), then the snoop is logged for every
 //! filter in the bank to observe as a bystander, then — for an unfiltered
-//! L2 — the configured [`CoherenceProtocol`] reaction runs against the tag
+//! L2 — the configured [`ProtocolKind`]'s reaction runs against the tag
 //! array.
 //!
-//! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
+//! [`ProtocolKind`]: crate::protocol::ProtocolKind
 
 use jetty_core::{FilterEvent, MissScope, UnitAddr};
 
 use crate::bus::{BusKind, SnoopResponse};
-use crate::protocol::CoherenceProtocol;
 use crate::system::System;
 use crate::wb::WbEntry;
 

@@ -19,7 +19,6 @@ use jetty_core::{SnoopFilter, UnitAddr};
 
 use crate::bus::SnoopResponse;
 use crate::moesi::Moesi;
-use crate::protocol::CoherenceProtocol;
 use crate::system::System;
 use crate::wb::WbEntry;
 
@@ -42,19 +41,21 @@ impl System {
         if let Some(v) = response.supplied_version {
             return v;
         }
-        if self.config.check.is_full() && !response.supplied_by_wb {
+        // Unchecked runs never write the version maps, so memory's version
+        // is always 0 there.
+        if !self.config.check.is_full() {
+            return 0;
+        }
+        let mem = self.memory_versions.get(&unit.raw()).copied().unwrap_or(0);
+        if !response.supplied_by_wb {
             // Memory supplies: its copy must be current.
-            let mem = self.memory_versions.get(unit.raw()).unwrap_or(0);
-            let latest = self.latest_versions.get(unit.raw()).unwrap_or(0);
+            let latest = self.latest_versions.get(&unit.raw()).copied().unwrap_or(0);
             assert_eq!(
                 mem, latest,
                 "memory supplied stale data for {unit}: memory v{mem}, latest v{latest}"
             );
-            return mem;
         }
-        // Unchecked mode (or WB supply handled inside the snoop): versions
-        // are advisory; WB supplies set `supplied_version` too, so 0 here.
-        self.memory_versions.get(unit.raw()).unwrap_or(0)
+        mem
     }
 
     /// Asserts that a completed read observed the newest written data.
@@ -62,7 +63,7 @@ impl System {
         if !self.config.check.is_full() {
             return;
         }
-        let latest = self.latest_versions.get(unit.raw()).unwrap_or(0);
+        let latest = self.latest_versions.get(&unit.raw()).copied().unwrap_or(0);
         let seen = self.nodes[cpu].l2.version(unit);
         assert_eq!(
             seen, latest,

@@ -1,19 +1,17 @@
 //! The CPU-side access path: L1 probe → local L2 → writeback forwarding →
 //! bus request, plus L1/L2 fills, installs and store completion.
 //!
-//! Protocol-dependent decisions (which state a fill installs, whether a
-//! forwarded writeback needs an upgrade, what counts as dirty on eviction)
-//! are delegated to the system's [`CoherenceProtocol`]; the flow itself is
-//! protocol-agnostic.
+//! The protocol-dependent decisions (which state a read fill or a
+//! forwarded writeback installs) are answered by the system's
+//! [`ProtocolKind`]; the flow itself is protocol-agnostic.
 //!
-//! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
+//! [`ProtocolKind`]: crate::protocol::ProtocolKind
 
 use jetty_core::{FilterEvent, UnitAddr};
 
 use crate::bus::BusKind;
 use crate::l1::L1Lookup;
 use crate::moesi::Moesi;
-use crate::protocol::CoherenceProtocol;
 use crate::system::{AccessOutcome, System};
 use crate::wb::WbEntry;
 
@@ -120,21 +118,21 @@ impl System {
             Moesi::Invalid => {
                 if let Some(entry) = self.nodes[cpu].l2_miss_wb_forward(unit) {
                     // Forward the pending writeback back into the cache.
-                    // The protocol decides whether remote Shared copies may
-                    // still exist (MOESI Owned-origin entries), requiring
-                    // an invalidating upgrade before taking exclusivity.
-                    if self.config.protocol.wb_forward_write_needs_upgrade(&entry) {
+                    // An Owned-origin entry (MOESI only) may still have
+                    // remote Shared copies, so it needs an invalidating
+                    // upgrade before taking exclusivity.
+                    if entry.shared {
                         self.bus_transaction(cpu, unit, BusKind::Upgrade);
                         self.nodes[cpu].stats.bus_upgrades += 1;
                     }
-                    self.install(cpu, unit, self.config.protocol.write_fill_state(), entry.version);
+                    self.install(cpu, unit, Moesi::Modified, entry.version);
                     self.fill_l1(cpu, unit, true);
                     self.complete_store(cpu, unit);
                     AccessOutcome { l1_hit: false, l2_hit: false, bus: None }
                 } else {
                     let response = self.bus_transaction(cpu, unit, BusKind::ReadExclusive);
                     let version = self.incoming_version(unit, &response);
-                    self.install(cpu, unit, self.config.protocol.write_fill_state(), version);
+                    self.install(cpu, unit, Moesi::Modified, version);
                     self.fill_l1(cpu, unit, true);
                     self.complete_store(cpu, unit);
                     self.nodes[cpu].stats.bus_read_exclusives += 1;
@@ -217,13 +215,13 @@ impl System {
             // Inclusion: drop the L1 copy (its data is not newer than the
             // L2's — stores stamp the L2 version eagerly).
             node.l1.invalidate(ev.unit);
-            if self.config.protocol.dirty_on_evict(ev.state) {
+            if ev.state.is_dirty() {
                 node.stats.l2_evict_data_reads += 1; // read out for the writeback
                 node.stats.wb_pushes += 1;
                 if let Some(forced) = node.wb.push(WbEntry {
                     unit: ev.unit,
                     version: ev.version,
-                    shared: self.config.protocol.evicted_may_have_sharers(ev.state),
+                    shared: ev.state == Moesi::Owned,
                 }) {
                     node.stats.wb_drains += 1;
                     self.retire_to_memory(forced);

@@ -15,12 +15,13 @@
 //! * [`check`] — the always-on filter-safety assertion's companions: the
 //!   version-exact data-coherence checker and the protocol invariant pass.
 //!
-//! Every protocol-dependent decision on those paths is delegated to a
-//! [`CoherenceProtocol`] (chosen via [`SystemConfig::protocol`]): fill
-//! states, snoop reactions, upgrade requirements and eviction/writeback
-//! semantics. The default MOESI protocol reproduces the paper's platform
-//! bit for bit; MESI and MSI open the protocol axis (see
-//! [`crate::protocol`]).
+//! Every protocol-dependent decision on those paths is answered by the
+//! [`ProtocolKind`] chosen via [`SystemConfig::protocol`]: read-fill
+//! states, snoop reactions and writeback-forwarding states. The default
+//! MOESI protocol reproduces the paper's platform bit for bit; MESI and
+//! MSI open the protocol axis (see [`crate::protocol`]).
+//!
+//! [`ProtocolKind`]: crate::protocol::ProtocolKind
 //!
 //! # Protocol walk-through
 //!
@@ -60,15 +61,15 @@ mod check;
 mod local;
 mod node;
 
+use std::collections::HashMap;
+
 use jetty_core::{AddrSpace, FilterSpec, SnoopFilter};
 
 use crate::bus::BusKind;
 use crate::config::SystemConfig;
-use crate::fastmap::FastMap;
 use crate::l1::L1Cache;
 use crate::l2::{EvictedUnit, L2Cache};
 use crate::moesi::Moesi;
-use crate::protocol::CoherenceProtocol;
 use crate::stats::{NodeStats, RunStats, SystemStats};
 use crate::trace::{MemRef, Op};
 use crate::wb::WritebackBuffer;
@@ -144,8 +145,8 @@ impl FilterReport {
 /// A `System` owns all of its state (caches, writeback buffers, filter
 /// banks, checker maps) and is `Send`: the parallel experiment engine moves
 /// whole systems onto worker threads and runs independent simulations
-/// concurrently. Nothing is shared between systems (the protocol object is
-/// a zero-sized shared static), so no `Sync` is needed.
+/// concurrently. Nothing is shared between systems, so no `Sync` is
+/// needed.
 pub struct System {
     config: SystemConfig,
     space: AddrSpace,
@@ -154,19 +155,19 @@ pub struct System {
     stats: SystemStats,
     /// Monotonic data-version source (checker).
     next_version: u64,
-    /// Memory's current version per unit (checker; absent = 0). Probed on
-    /// every bus fill, hence a [`FastMap`] rather than a SipHash map.
-    memory_versions: FastMap,
+    /// Memory's current version per unit (checker; absent = 0). Written
+    /// and read only under [`CheckLevel::Full`](crate::CheckLevel::Full).
+    memory_versions: HashMap<u64, u64>,
     /// Latest version ever written per unit (checker; absent = 0).
-    latest_versions: FastMap,
+    latest_versions: HashMap<u64, u64>,
     /// Reusable eviction scratch threaded through every L2 fill so the
     /// steady-state install path allocates nothing.
     evict_scratch: Vec<EvictedUnit>,
 }
 
 // Compile-time audit that a whole simulated system can move across
-// threads (filters carry the `Send` supertrait; the protocol is a shared
-// `Sync` static; everything else is owned plain data). Breaking this
+// threads (filters carry the `Send` supertrait; everything else is owned
+// plain data). Breaking this
 // breaks the parallel experiment engine.
 const _: fn() = assert_send::<System>;
 fn assert_send<T: Send>() {}
@@ -186,7 +187,7 @@ impl System {
                 l1: L1Cache::new(config.l1),
                 l2: L2Cache::new(config.l2),
                 wb: WritebackBuffer::new(config.wb_entries),
-                filters: specs.iter().map(|s| s.build_any(space)).collect(),
+                filters: specs.iter().map(|s| s.build(space)).collect(),
                 stats: NodeStats::default(),
                 events: Vec::new(),
             })
@@ -198,8 +199,8 @@ impl System {
             nodes,
             stats: SystemStats::new(config.cpus),
             next_version: 0,
-            memory_versions: FastMap::new(),
-            latest_versions: FastMap::new(),
+            memory_versions: HashMap::new(),
+            latest_versions: HashMap::new(),
             evict_scratch: Vec::new(),
         }
     }
@@ -217,14 +218,6 @@ impl System {
     /// Number of processors.
     pub fn cpus(&self) -> usize {
         self.config.cpus
-    }
-
-    /// The coherence protocol in use, as a behaviour object. Internal call
-    /// sites use `self.config.protocol` directly (static dispatch); this
-    /// accessor derives the same answer, so there is a single source of
-    /// protocol truth on the struct.
-    pub fn protocol(&self) -> &'static dyn CoherenceProtocol {
-        self.config.protocol.protocol()
     }
 
     /// Applies one trace reference ([`System::access`]: the filter bank
@@ -246,39 +239,19 @@ impl System {
     /// Runs an entire trace through the system by buffering it into
     /// [`System::CHUNK_LEN`]-reference chunks and delegating to
     /// [`System::run_chunk`], so iterator-driven callers get the batched
-    /// snoop fan-out for free. This is [`System::run_gated`] under an
-    /// unbounded gate.
+    /// snoop fan-out for free.
     pub fn run<I: IntoIterator<Item = MemRef>>(&mut self, trace: I) {
-        self.run_gated(trace, &crate::RunGate::unbounded())
-            .unwrap_or_else(|stop| unreachable!("unbounded gate cannot stop a run: {stop:?}"));
-    }
-
-    /// [`System::run`] under a [`RunGate`]: the gate is consulted before
-    /// every chunk, so a deadline or cancellation stops the run within
-    /// one chunk's worth of work (`Err` carries the reason; counters
-    /// reflect exactly the chunks that completed). An unbounded gate's
-    /// check is free.
-    ///
-    /// [`RunGate`]: crate::RunGate
-    pub fn run_gated<I: IntoIterator<Item = MemRef>>(
-        &mut self,
-        trace: I,
-        gate: &crate::RunGate,
-    ) -> Result<(), crate::GateStop> {
         let mut buf = Vec::with_capacity(Self::CHUNK_LEN);
         for r in trace {
             buf.push(r);
             if buf.len() == Self::CHUNK_LEN {
-                gate.check()?;
-                self.run_chunk_gated(&buf, gate)?;
+                self.run_chunk(&buf);
                 buf.clear();
             }
         }
         if !buf.is_empty() {
-            gate.check()?;
-            self.run_chunk_gated(&buf, gate)?;
+            self.run_chunk(&buf);
         }
-        Ok(())
     }
 
     /// Runs one pregenerated chunk of references.

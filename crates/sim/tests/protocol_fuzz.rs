@@ -41,11 +41,10 @@ fn ref_strategy(cpus: usize, units: u64) -> impl Strategy<Value = MemRef> {
 /// Exhaustive protocol-specific state audit: no node may hold a state
 /// outside its protocol's subset, for any unit either cache can name.
 fn assert_states_in_subset(sys: &System, protocol: ProtocolKind, units: u64) {
-    let allowed = protocol.protocol();
     for cpu in 0..sys.cpus() {
         for unit in 0..units {
             let state = sys.l2_state(cpu, unit * 32);
-            assert!(allowed.allows(state), "{protocol}: node {cpu} holds {state} for unit {unit}");
+            assert!(protocol.allows(state), "{protocol}: node {cpu} holds {state} for unit {unit}");
         }
     }
 }

@@ -33,6 +33,11 @@ target/release/jetty-repro all --scale 0.02 --threads 2 --check | diff -u tests/
 echo "==> sweep smoke: jetty-repro sweep --scale 0.02 --threads 2"
 target/release/jetty-repro sweep --scale 0.02 --threads 2 >/dev/null
 
+# The release binary aborts on panic (exit 134), which the unwinding test
+# builds cannot show: every refused input must exit 1 here.
+echo "==> rejected inputs: the release binary exits 1 with a message"
+scripts/rejected_inputs.sh target/release/jetty-repro
+
 echo "==> JSON validity: renderer output parsed by the in-tree rust parser (no shell tools)"
 cargo test -q -p jetty-experiments --test renderers json_ -- --nocapture
 
