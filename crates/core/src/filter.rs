@@ -287,10 +287,11 @@ pub trait SnoopFilter: fmt::Debug + Send {
 }
 
 /// Raises the filter-safety panic for a replay kernel's `unsafe_at`
-/// index (the first snoop in `events` that `filter` answered `NotCached`
-/// although the unit was cached); does nothing for `None`.
+/// index (the first snoop in `events` that the filter named by `label`
+/// answered `NotCached` although the unit was cached); does nothing for
+/// `None`. The label is built only when the panic fires.
 pub(crate) fn assert_safe(
-    filter: &impl SnoopFilter,
+    label: impl FnOnce() -> String,
     events: &[FilterEvent],
     unsafe_at: Option<usize>,
     node: usize,
@@ -299,10 +300,7 @@ pub(crate) fn assert_safe(
         let FilterEvent::Snoop { unit, .. } = events[bad] else {
             unreachable!("unsafe_at always indexes a snoop event");
         };
-        panic!(
-            "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-            filter.name()
-        );
+        panic!("UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}", label());
     }
 }
 

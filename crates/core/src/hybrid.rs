@@ -20,6 +20,7 @@ use crate::addr::AddrSpace;
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
 use crate::filter::{self, ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter};
 use crate::include::{IncludeConfig, IncludeJetty};
+use crate::kernels::ReplayOut;
 use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 
 /// The exclude-side component of a hybrid: scalar or vectored.
@@ -130,6 +131,69 @@ impl HybridConfig {
     }
 }
 
+/// The exclude side of a hybrid together with the hybrid's own union
+/// counters: everything a backup-policy hybrid holds beyond its IJ.
+///
+/// A [`HybridJetty`] owns one next to its IJ. A
+/// [`FilterBank`](crate::FilterBank) whose hybrids share one IJ lane
+/// holds one per hybrid and no private IJ, feeding every half the lane's
+/// verdicts: [`ExcludeHalf::replay_backup`] is the one EJ/VEJ pass of the
+/// backup policy either way.
+#[derive(Clone, Debug)]
+pub(crate) struct ExcludeHalf {
+    exclude: ExcludeEngine,
+    probes: u64,
+    filtered: u64,
+}
+
+impl ExcludeHalf {
+    pub(crate) fn new(part: ExcludePart, space: AddrSpace) -> Self {
+        let exclude = match part {
+            ExcludePart::Scalar(c) => ExcludeEngine::Scalar(ExcludeJetty::new(c, space)),
+            ExcludePart::Vector(c) => ExcludeEngine::Vector(VectorExcludeJetty::new(c, space)),
+        };
+        Self { exclude, probes: 0, filtered: 0 }
+    }
+
+    /// The backup policy's EJ/VEJ pass over a chunk whose IJ pass already
+    /// ran: `ij_verdicts` is that pass's verdict slice, parallel to
+    /// `events`. Computes the union verdicts, records exactly the misses
+    /// neither component filtered, and counts the hybrid's probes and
+    /// union-filtered snoops. The returned `unsafe_at` is the hybrid's
+    /// union safety verdict; the caller raises the panic.
+    pub(crate) fn replay_backup(
+        &mut self,
+        events: &[FilterEvent],
+        ij_verdicts: &[bool],
+    ) -> ReplayOut {
+        let out = exclude_dispatch!(&mut self.exclude, replay_events(events, ij_verdicts));
+        self.probes += out.probes;
+        self.filtered += out.union_filtered;
+        out
+    }
+
+    /// The hybrid's arrays: the IJ's, then the exclude side's.
+    pub(crate) fn arrays(&self, include: &IncludeJetty) -> Vec<ArraySpec> {
+        let mut specs = include.arrays();
+        specs.extend(exclude_dispatch!(&self.exclude, arrays()));
+        specs
+    }
+
+    /// The hybrid's activity: the IJ's array counts, then the exclude
+    /// side's, with the hybrid's own probe and union-filtered counts.
+    pub(crate) fn activity(&self, include: &IncludeJetty) -> FilterActivity {
+        let mut arrays = include.activity().arrays;
+        arrays.extend(exclude_dispatch!(&self.exclude, activity()).arrays);
+        FilterActivity { arrays, probes: self.probes, filtered: self.filtered }
+    }
+
+    fn reset_activity(&mut self) {
+        exclude_dispatch!(&mut self.exclude, reset_activity());
+        self.probes = 0;
+        self.filtered = 0;
+    }
+}
+
 /// The Hybrid-Jetty filter. See the module docs.
 ///
 /// # Examples
@@ -151,9 +215,7 @@ impl HybridConfig {
 pub struct HybridJetty {
     config: HybridConfig,
     include: IncludeJetty,
-    exclude: ExcludeEngine,
-    probes: u64,
-    filtered: u64,
+    half: ExcludeHalf,
     /// Reusable IJ verdict buffer: the backup-policy replay fills it
     /// with one verdict per event (shared between the IJ and EJ kernel
     /// passes).
@@ -164,8 +226,8 @@ impl fmt::Debug for HybridJetty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HybridJetty")
             .field("config", &self.config)
-            .field("probes", &self.probes)
-            .field("filtered", &self.filtered)
+            .field("probes", &self.half.probes)
+            .field("filtered", &self.half.filtered)
             .finish()
     }
 }
@@ -174,11 +236,8 @@ impl HybridJetty {
     /// Creates a Hybrid-Jetty for the given address space.
     pub fn new(config: HybridConfig, space: AddrSpace) -> Self {
         let include = IncludeJetty::new(config.include, space);
-        let exclude = match config.exclude {
-            ExcludePart::Scalar(c) => ExcludeEngine::Scalar(ExcludeJetty::new(c, space)),
-            ExcludePart::Vector(c) => ExcludeEngine::Vector(VectorExcludeJetty::new(c, space)),
-        };
-        Self { config, include, exclude, probes: 0, filtered: 0, scratch_absent: Vec::new() }
+        let half = ExcludeHalf::new(config.exclude, space);
+        Self { config, include, half, scratch_absent: Vec::new() }
     }
 
     /// The configuration this filter was built with.
@@ -195,20 +254,17 @@ impl HybridJetty {
     /// by two kernel calls, with no gather pass. The IJ pass fills a
     /// verdict vector parallel to the chunk (safe to run ahead — nothing
     /// in the hybrid's snoop handling mutates IJ state, and IJ state
-    /// never depends on the EJ), then the EJ/VEJ pass reads that slice to
-    /// compute union verdicts, records exactly the misses neither
-    /// component filtered, and is the panic authority for unsafe filters.
+    /// never depends on the EJ), then the EJ/VEJ pass
+    /// ([`ExcludeHalf::replay_backup`]) reads that slice and is the
+    /// panic authority for unsafe filters. The IJ pass's own unsafe index
+    /// is ignored: the EJ pass sees the same verdicts and owns the union
+    /// safety check.
     fn replay_backup(&mut self, events: &[FilterEvent], node: usize) -> u64 {
         let mut verdicts = std::mem::take(&mut self.scratch_absent);
-        // IJ pass: verdicts + counter RMWs. Its unsafe index is ignored —
-        // the EJ pass sees the same verdict slice and owns the union
-        // safety check.
         self.include.replay_events(events, Some(&mut verdicts));
-        let out = exclude_dispatch!(&mut self.exclude, replay_events(events, &verdicts));
+        let out = self.half.replay_backup(events, &verdicts);
         self.scratch_absent = verdicts;
-        self.probes += out.probes;
-        self.filtered += out.union_filtered;
-        filter::assert_safe(self, events, out.unsafe_at, node);
+        filter::assert_safe(|| self.name(), events, out.unsafe_at, node);
         out.union_filtered
     }
 
@@ -222,8 +278,9 @@ impl HybridJetty {
         let mut filtered = 0;
         for (i, event) in events.iter().enumerate() {
             let ij = self.include.replay_events(slice::from_ref(event), None);
+            let exclude = &mut self.half.exclude;
             let FilterEvent::Snoop { unit, would_hit, .. } = *event else {
-                exclude_dispatch!(&mut self.exclude, replay_events(slice::from_ref(event), &[]));
+                exclude_dispatch!(exclude, replay_events(slice::from_ref(event), &[]));
                 continue;
             };
             let ij_filtered = ij.filtered != 0;
@@ -237,20 +294,17 @@ impl HybridJetty {
             } else {
                 *event
             };
-            let ej = exclude_dispatch!(
-                &mut self.exclude,
-                replay_events(slice::from_ref(&ej_event), &[])
-            );
+            let ej = exclude_dispatch!(exclude, replay_events(slice::from_ref(&ej_event), &[]));
             if ij_filtered && ej.filtered == 0 {
                 self.include.block_absent(unit, true);
             }
-            self.probes += 1;
+            self.half.probes += 1;
             if ij_filtered || ej.filtered != 0 {
                 filtered += 1;
-                filter::assert_safe(self, events, would_hit.then_some(i), node);
+                filter::assert_safe(|| self.name(), events, would_hit.then_some(i), node);
             }
         }
-        self.filtered += filtered;
+        self.half.filtered += filtered;
         filtered
     }
 }
@@ -264,24 +318,16 @@ impl SnoopFilter for HybridJetty {
     }
 
     fn arrays(&self) -> Vec<ArraySpec> {
-        let mut specs = self.include.arrays();
-        specs.extend(exclude_dispatch!(&self.exclude, arrays()));
-        specs
+        self.half.arrays(&self.include)
     }
 
     fn activity(&self) -> FilterActivity {
-        let ij = self.include.activity();
-        let ej = exclude_dispatch!(&self.exclude, activity());
-        let mut arrays = ij.arrays;
-        arrays.extend(ej.arrays);
-        FilterActivity { arrays, probes: self.probes, filtered: self.filtered }
+        self.half.activity(&self.include)
     }
 
     fn reset_activity(&mut self) {
         self.include.reset_activity();
-        exclude_dispatch!(&mut self.exclude, reset_activity());
-        self.probes = 0;
-        self.filtered = 0;
+        self.half.reset_activity();
     }
 
     fn name(&self) -> String {

@@ -310,7 +310,7 @@ impl SnoopFilter for IncludeJetty {
         // charge stays N reads regardless). Standalone IJ needs no
         // per-event verdicts — only the hybrid's EJ pass consumes them.
         let out = self.replay_events(events, None);
-        filter::assert_safe(self, events, out.unsafe_at, node);
+        filter::assert_safe(|| self.name(), events, out.unsafe_at, node);
         out.filtered
     }
 

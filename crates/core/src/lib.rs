@@ -19,6 +19,10 @@
 //! * [`HybridJetty`] (HJ) probes an IJ and an EJ in parallel and filters
 //!   when either can.
 //!
+//! A [`FilterBank`] holds one node's filters and replays each distinct IJ
+//! once per chunk, sharing it between the standalone IJs and the hybrids
+//! built on it.
+//!
 //! All variants uphold the paper's safety requirement: a filtered snoop is a
 //! *guarantee* that no local copy exists, so the coherence protocol is
 //! unchanged and no performance is lost.
@@ -54,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod bank;
 mod exclude;
 mod filter;
 mod hybrid;
@@ -64,6 +69,7 @@ mod spec;
 mod vector_exclude;
 
 pub use addr::{AddrSpace, UnitAddr};
+pub use bank::FilterBank;
 pub use exclude::{ExcludeConfig, ExcludeJetty};
 pub use filter::{
     ArrayActivity, ArrayKind, ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter,

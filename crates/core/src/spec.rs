@@ -94,8 +94,9 @@ impl FilterSpec {
 
     /// Builds a fresh filter instance for one SMP node, as an
     /// [`AnyFilter`] value (no heap box, no vtable): the representation
-    /// the simulator's per-node banks store, so every chunk replay is a
-    /// direct, inlinable call on contiguous memory. The filter is [`Send`]
+    /// a [`FilterBank`](crate::FilterBank) stores its self-contained
+    /// filters in, so every chunk replay is a direct, inlinable call on
+    /// contiguous memory. The filter is [`Send`]
     /// ([`SnoopFilter`] requires it), so a built bank — and the simulated
     /// system holding it — can be handed to a worker thread.
     pub fn build(&self, space: AddrSpace) -> AnyFilter {
@@ -312,10 +313,10 @@ impl fmt::Display for FilterSpec {
 /// A concrete filter instance behind an enum instead of a `dyn` box.
 ///
 /// The simulator replays every filter of every node's bank once per
-/// chunk; storing banks as `Vec<AnyFilter>` keeps the filter states in one
-/// contiguous allocation and turns each replay into a statically-dispatched
-/// (and inlinable) call, with no pointer chase or indirect call per
-/// filter. `AnyFilter` implements [`SnoopFilter`].
+/// chunk; storing a bank's filters as `AnyFilter` values keeps their
+/// states in one contiguous allocation and turns each replay into a
+/// statically-dispatched (and inlinable) call, with no pointer chase or
+/// indirect call per filter. `AnyFilter` implements [`SnoopFilter`].
 // The size spread between variants is deliberate: banks store filters by
 // value precisely to avoid the per-replay pointer chase a boxed large
 // variant would reintroduce, and banks are small (tens of filters).

@@ -219,7 +219,7 @@ impl VectorExcludeJetty {
 impl SnoopFilter for VectorExcludeJetty {
     fn apply_batch(&mut self, events: &[FilterEvent], node: usize) -> u64 {
         let out = self.replay_events(events, &[]);
-        filter::assert_safe(self, events, out.unsafe_at, node);
+        filter::assert_safe(|| self.name(), events, out.unsafe_at, node);
         out.filtered
     }
 

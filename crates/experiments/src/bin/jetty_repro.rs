@@ -100,13 +100,14 @@ fn usage() -> String {
          --axis configures the sweep grid (repeatable; axes: cpus protocol \
          filter scale nsb), e.g. --axis cpus=4,8 --axis protocol=moesi,msi\n\
          --threads defaults to available parallelism\n\
-         --timings reports per-suite wall-clock on stderr (stdout untouched)\n\
+         --timings reports wall-clock per simulated machine on stderr (suites \
+         that differ only in their filter bank share one; stdout untouched)\n\
          --store appends this invocation's results to an append-only run \
          store file (and is where `runs`/`diff` read from)\n\
          --timing-band makes `diff` also fail when run B is more than PCT \
          percent slower than run A\n\
          --deadline-ms caps each simulation job's wall-clock; an expired \
-         job fails its suite, it does not abort the invocation\n\
+         job fails the suites it serves, it does not abort the invocation\n\
          --strict makes `runs` exit nonzero when the store has a damaged \
          tail (default: warn and list the intact prefix)\n\
          exit codes: 0 = clean, 2 = partial (results rendered but some \
@@ -131,7 +132,7 @@ struct Cli {
     /// grid once parsing is done — they require the `sweep` command).
     axes: Vec<(Axis, String)>,
     check: bool,
-    /// Report per-suite wall-clock attribution on stderr (stdout stays
+    /// Report per-machine wall-clock attribution on stderr (stdout stays
     /// byte-identical, so the golden-output guarantee is unaffected).
     timings: bool,
     /// `--store PATH`: append this invocation's results to a run store
@@ -499,7 +500,7 @@ fn main() -> ExitCode {
         Engine::new(cli.threads.unwrap_or_else(Engine::default_threads))
             .with_deadline(cli.deadline_ms.map(Duration::from_millis))
     };
-    // Per-suite wall-clock attribution (stderr only): lets perf work blame
+    // Per-machine wall-clock attribution (stderr only): lets perf work blame
     // time without external profilers. Printed after every batch the
     // engine executes, so late, non-prefetched suites still report.
     let report_timings = |engine: &Engine| {
@@ -540,13 +541,18 @@ fn main() -> ExitCode {
         let started = Instant::now();
         let suites = engine.run_suites(&prefetch);
         // Coalesced requests return the same Arc (e.g. `all --cpus 8`
-        // makes the base and smp8 suites one key); count each once.
-        let mut seen = std::collections::HashSet::new();
-        let refs: u64 = suites
+        // makes the base and smp8 suites one key); count each once. The
+        // refs are the simulated ones: suites of one machine share its
+        // traces, so each machine counts once.
+        let mut seen = HashSet::new();
+        let mut machines = HashSet::new();
+        let refs: u64 = prefetch
             .iter()
-            .filter_map(|s| s.as_ref().ok())
-            .filter(|s| seen.insert(Arc::as_ptr(s)))
-            .map(|s| s.iter().map(|r| r.refs).sum::<u64>())
+            .zip(&suites)
+            .filter_map(|(options, s)| Some((options, s.as_ref().ok()?)))
+            .filter(|(_, s)| seen.insert(Arc::as_ptr(s)))
+            .filter(|(options, _)| machines.insert(options.machine()))
+            .map(|(_, s)| s.iter().map(|r| r.refs).sum::<u64>())
             .sum();
         for outcome in suites {
             if let Err(e) = outcome {

@@ -1,6 +1,6 @@
 //! The parallel experiment engine: a scoped-thread worker pool over a job
-//! graph of `(profile, RunOptions)` simulations, plus a [`SuiteCache`] so
-//! no identical suite is ever simulated twice in one process.
+//! graph of `(profile, machine)` simulations, plus a [`SuiteCache`] so no
+//! identical suite is ever simulated twice in one process.
 //!
 //! # Why this exists
 //!
@@ -8,20 +8,32 @@
 //! simulation pass with a bank of bystander filters yields results for
 //! every configuration at once. What remains is the *application* axis —
 //! ten independent suite members per run, and `jetty-repro all` needs
-//! several independent suites (the 4-way base run, the 8-way run, the
-//! non-subblocked run, and two ablation banks). Every one of those
-//! simulations is a pure function of `(profile, RunOptions)`, so they are
-//! embarrassingly parallel; the engine flattens them into one job list and
-//! drains it with a fixed pool of scoped threads.
+//! several suites (the 4-way base run, the 8-way run, the non-subblocked
+//! run, and two ablation banks).
+//!
+//! Filters are bystanders, so suites that differ only in their banks
+//! simulate the same machine: the base suite and both ablation banks are
+//! one 4-way MOESI subblocked machine. The job graph is therefore keyed
+//! by machine ([`RunOptions::machine`]): each batch's suites are grouped
+//! by machine key, every `(application, machine)` pair runs once with the
+//! deduplicated union of the grouped banks, and each requested suite is
+//! then served its own runs, with its reports in its own bank order.
+//! `all`'s five suites are three machines and 30 jobs. Every job is a
+//! pure function of `(profile, machine, bank)`, so the jobs are
+//! embarrassingly parallel; the engine flattens them into one job list
+//! and drains it with a fixed pool of scoped threads.
 //!
 //! # Determinism
 //!
 //! A job's result depends only on its inputs — [`TraceGen`] is a pure
 //! function of `(profile, cpus, scale)` and [`System`] of the trace and
-//! options — so execution order cannot change any result. Jobs write into
-//! pre-assigned slots and suites are reassembled in application order,
-//! so the output is byte-identical at every worker count; with one worker
-//! the jobs simply run one after another in job order.
+//! options — so execution order cannot change any result. A filter's
+//! report does not depend on the other filters in its bank, so a suite
+//! served from a union bank gets exactly the reports it would get alone.
+//! Jobs write into pre-assigned slots and suites are reassembled in
+//! application order, so the output is byte-identical at every worker
+//! count; with one worker the jobs simply run one after another in job
+//! order.
 //!
 //! # Failure model
 //!
@@ -32,10 +44,13 @@
 //! ([`Engine::with_deadline`], checked at chunk boundaries through a
 //! [`RunGate`]), or by panicking — panics are caught per job (in unwind
 //! builds; the release profile aborts by design) and reported through the
-//! job's result slot. When any job of a suite fails, the suite's shared
-//! cancellation flag stops its sibling jobs at their next chunk boundary:
-//! their partial results could never be used. Failed suites are never
-//! inserted into the [`SuiteCache`] — only complete suites are cached —
+//! job's result slot. A job serves every suite of its machine, so a
+//! fault aimed at any of those suites, a deadline expiry or a panic fails
+//! the job for all of them, and each failed suite is reported under its
+//! own [`RunOptions::id`]. When any job of a machine fails, the machine's
+//! shared cancellation flag stops its sibling jobs at their next chunk
+//! boundary: their partial results could never be used. Failed suites
+//! are never inserted into the [`SuiteCache`] — only complete suites are cached —
 //! but the *error* is memoized, so a doomed configuration is attempted
 //! once per process, not once per consumer. Lock poisoning degrades too:
 //! every engine mutex guards data that is structurally valid mid-panic
@@ -44,13 +59,13 @@
 //!
 //! # Caching
 //!
-//! [`RunOptions`] is the cache key (hash/eq over `cpus`, `scale` bits,
-//! `check`, the full filter bank, `non_subblocked`, and the coherence
-//! `protocol`). Consumers ask for whole suites; [`Engine::run_suites`]
-//! coalesces duplicate requests, simulates only the missing ones, and
-//! hands out shared [`Arc`] results — which is what lets the declarative
-//! sweep grid ([`crate::sweep`]) render every grid point from cache after
-//! one prefetch batch.
+//! [`RunOptions`] is the cache key (hash/eq over the machine key — `cpus`,
+//! `scale` bits, `check`, `non_subblocked`, and the coherence `protocol`
+//! — and the full filter bank). Consumers ask for whole suites;
+//! [`Engine::run_suites`] coalesces duplicate requests, simulates only
+//! the missing ones, and hands out shared [`Arc`] results — which is what
+//! lets the declarative sweep grid ([`crate::sweep`]) render every grid
+//! point from cache after one prefetch batch.
 //!
 //! [`TraceGen`]: jetty_workloads::TraceGen
 //! [`System`]: jetty_sim::System
@@ -67,7 +82,7 @@ use jetty_sim::RunGate;
 use jetty_workloads::apps;
 
 use crate::error::JettyError;
-use crate::runner::{run_app_gated, AppRun, AppTiming, RunOptions};
+use crate::runner::{run_app_serving, AppRun, AppTiming, RunOptions};
 
 /// One finished-or-failed suite, as returned by [`Engine::run_suites`].
 pub type SuiteResult = Result<Arc<Vec<AppRun>>, JettyError>;
@@ -139,7 +154,8 @@ pub struct EngineStats {
     /// identical request in the same batch, or answered from the
     /// memoized error of an earlier failed attempt).
     pub cache_hits: u64,
-    /// Individual `(profile, options)` simulation jobs attempted.
+    /// Individual `(profile, machine)` simulation jobs attempted: one per
+    /// application per machine, however many suites the machine serves.
     pub jobs_executed: u64,
     /// Suites whose execution failed (fault, deadline, or worker death);
     /// their errors are memoized, never their partial results.
@@ -160,23 +176,69 @@ impl EngineStats {
     }
 }
 
-/// One `(application, suite)` simulation job in a batch's flattened graph.
+/// One simulated machine of a batch: the requested suites that share a
+/// [`MachineKey`](crate::runner::MachineKey), run as one simulation per
+/// application with the union of their banks.
+struct Machine {
+    /// The shared machine, carrying the union bank (first-seen order,
+    /// duplicates dropped).
+    options: RunOptions,
+    /// The requested suites this machine serves.
+    served: Vec<RunOptions>,
+    /// Per served suite: its index in the batch, and where each of its
+    /// specs sits in the union bank.
+    picks: Vec<(usize, Vec<usize>)>,
+}
+
+impl Machine {
+    /// Groups `suites` by machine key, in first-seen order.
+    fn plan(suites: &[RunOptions]) -> Vec<Machine> {
+        let mut machines: Vec<Machine> = Vec::new();
+        for (index, suite) in suites.iter().enumerate() {
+            let key = suite.machine();
+            let m = machines.iter().position(|m| m.options.machine() == key).unwrap_or_else(|| {
+                let options = suite.clone().with_specs(Vec::new());
+                machines.push(Machine { options, served: Vec::new(), picks: Vec::new() });
+                machines.len() - 1
+            });
+            let machine = &mut machines[m];
+            let union = &mut machine.options.specs;
+            let picks = suite
+                .specs
+                .iter()
+                .map(|spec| {
+                    union.iter().position(|s| s == spec).unwrap_or_else(|| {
+                        union.push(*spec);
+                        union.len() - 1
+                    })
+                })
+                .collect();
+            machine.served.push(suite.clone());
+            machine.picks.push((index, picks));
+        }
+        machines
+    }
+}
+
+/// One `(application, machine)` simulation job in a batch's flattened graph.
 #[derive(Clone, Copy)]
 struct Job {
-    suite: usize,
+    machine: usize,
     app: usize,
 }
 
 /// What one job deposits in its slot: its outcome plus wall-clock.
 type JobOutcome = (Result<(AppRun, AppTiming), JettyError>, Duration);
 
-/// Wall-clock attribution for one *executed* (cache-missing) suite:
-/// the summed wall-clock of its ten application jobs. Jobs of one suite
-/// may run on different workers, so this is cpu-time-like — with one
-/// worker it equals the suite's wall-clock exactly.
+/// Wall-clock attribution for one *executed* machine (the cache-missing
+/// suites of a batch that share a machine key): the summed wall-clock of
+/// its ten application jobs. Jobs of one machine may run on different
+/// workers, so this is cpu-time-like — with one worker it equals the
+/// machine's wall-clock exactly.
 #[derive(Clone, Debug)]
 pub struct SuiteTiming {
-    /// The options the suite ran under.
+    /// The options the machine ran under, with the union bank of the
+    /// suites it served.
     pub options: RunOptions,
     /// Summed per-job wall-clock.
     pub elapsed: Duration,
@@ -342,17 +404,18 @@ impl Engine {
     /// request order.
     ///
     /// Requests already in the cache are served from it; duplicate
-    /// requests within the batch are coalesced. Everything left is
-    /// flattened into one `(profile, options)` job list and drained by the
-    /// worker pool, so the 4-way, 8-way, non-subblocked and ablation
-    /// suites of `jetty-repro all` share a single pool instead of running
-    /// back to back.
+    /// requests within the batch are coalesced. Everything left is grouped
+    /// by machine and flattened into one `(profile, machine)` job list
+    /// drained by the worker pool, so the 4-way, 8-way, non-subblocked and
+    /// ablation suites of `jetty-repro all` share a single pool, and the
+    /// three suites of the 4-way machine share its simulations.
     ///
-    /// A failed suite comes back as `Err` without disturbing its batch
-    /// mates; the error is memoized so later requests for the same key are
-    /// answered without re-running a doomed configuration (one attempt per
-    /// key per process — the cache itself only ever holds complete
-    /// suites).
+    /// A failed suite comes back as `Err` without disturbing the suites of
+    /// other machines (the suites of its own machine share its jobs and
+    /// fail with it); the error is memoized so later requests for the same
+    /// key are answered without re-running a doomed configuration (one
+    /// attempt per key per process — the cache itself only ever holds
+    /// complete suites).
     ///
     /// The single-execution guarantee is per caller: if *external* threads
     /// share one engine and race identical requests, both may simulate,
@@ -412,43 +475,50 @@ impl Engine {
 
     /// Executes the job graph for `suites`, returning each suite's runs in
     /// application order (or its first meaningful error) and logging one
-    /// [`SuiteTiming`] per completed suite.
+    /// [`SuiteTiming`] per completed machine.
+    ///
+    /// Suites that share a machine key run as one job per application
+    /// with the union of their banks ([`Machine::plan`]); each suite then
+    /// gets its own runs, with its reports in its own bank order. A
+    /// failed job fails every suite its machine serves, each under its
+    /// own id.
     fn execute(&self, suites: &[RunOptions]) -> Vec<Result<Vec<AppRun>, JettyError>> {
         if suites.is_empty() {
             return Vec::new();
         }
         let profiles = apps::all();
-        let jobs: Vec<Job> = (0..suites.len())
-            .flat_map(|suite| (0..profiles.len()).map(move |app| Job { suite, app }))
+        let machines = Machine::plan(suites);
+        let jobs: Vec<Job> = (0..machines.len())
+            .flat_map(|machine| (0..profiles.len()).map(move |app| Job { machine, app }))
             .collect();
 
-        // One cancellation flag per suite: the first failing job raises
-        // its suite's flag, and sibling jobs observe it at their next
+        // One cancellation flag per machine: the first failing job raises
+        // its machine's flag, and sibling jobs observe it at their next
         // chunk boundary (their partial results could never be used).
         let cancels: Vec<Arc<AtomicBool>> =
-            suites.iter().map(|_| Arc::new(AtomicBool::new(false))).collect();
+            machines.iter().map(|_| Arc::new(AtomicBool::new(false))).collect();
         let run_job = |job: &Job| -> JobOutcome {
             let started = Instant::now();
-            let options = &suites[job.suite];
+            let machine = &machines[job.machine];
             let gate = match self.deadline {
                 Some(budget) => RunGate::with_budget(budget),
                 None => RunGate::unbounded(),
             }
-            .with_cancel(Arc::clone(&cancels[job.suite]));
+            .with_cancel(Arc::clone(&cancels[job.machine]));
             // Panics are contained per job in unwind builds (tests, dev);
             // the release profile aborts on panic by design, so there a
             // panic remains what it always was: a process-fatal bug.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_app_gated(&profiles[job.app], options, &gate)
+                run_app_serving(&profiles[job.app], &machine.options, &machine.served, &gate)
             }))
             .unwrap_or_else(|payload| {
                 Err(JettyError::simulation(
-                    options.id(),
+                    machine.options.id(),
                     format!("worker panicked: {}", panic_message(payload.as_ref())),
                 ))
             });
             if result.is_err() {
-                cancels[job.suite].store(true, Ordering::Relaxed);
+                cancels[job.machine].store(true, Ordering::Relaxed);
             }
             (result, started.elapsed())
         };
@@ -474,17 +544,26 @@ impl Engine {
         });
         self.jobs_executed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
 
-        let mut out: Vec<Result<Vec<AppRun>, JettyError>> =
-            suites.iter().map(|_| Ok(Vec::new())).collect();
-        let mut elapsed: Vec<Duration> = vec![Duration::ZERO; suites.len()];
-        let mut splits: Vec<AppTiming> = vec![AppTiming::default(); suites.len()];
+        let mut runs: Vec<Result<Vec<AppRun>, JettyError>> =
+            machines.iter().map(|_| Ok(Vec::new())).collect();
+        let mut timings: Vec<SuiteTiming> = machines
+            .iter()
+            .map(|m| SuiteTiming {
+                options: m.options.clone(),
+                elapsed: Duration::ZERO,
+                jobs: profiles.len(),
+                gen: Duration::ZERO,
+                sim: Duration::ZERO,
+            })
+            .collect();
         for (job, (outcome, took)) in jobs.iter().zip(outcomes) {
-            elapsed[job.suite] += took;
+            let timing = &mut timings[job.machine];
+            timing.elapsed += took;
             match outcome {
                 Ok((run, split)) => {
-                    splits[job.suite].gen += split.gen;
-                    splits[job.suite].sim += split.sim;
-                    if let Ok(runs) = &mut out[job.suite] {
+                    timing.gen += split.gen;
+                    timing.sim += split.sim;
+                    if let Ok(runs) = &mut runs[job.machine] {
                         runs.push(run);
                     }
                 }
@@ -492,7 +571,7 @@ impl Engine {
                     // First meaningful error wins: a Cancelled job only
                     // ever follows some other job's failure, so it never
                     // displaces the root cause.
-                    let slot = &mut out[job.suite];
+                    let slot = &mut runs[job.machine];
                     let replace = match slot {
                         Ok(_) => true,
                         Err(JettyError::Cancelled { .. }) => {
@@ -506,18 +585,19 @@ impl Engine {
                 }
             }
         }
+
+        let mut out: Vec<Result<Vec<AppRun>, JettyError>> =
+            suites.iter().map(|_| Ok(Vec::new())).collect();
         let mut log = lock_recover(&self.timings);
-        for (suite, ((options, took), split)) in
-            suites.iter().zip(&elapsed).zip(&splits).enumerate()
-        {
-            if out[suite].is_ok() {
-                log.push(SuiteTiming {
-                    options: options.clone(),
-                    elapsed: *took,
-                    jobs: profiles.len(),
-                    gen: split.gen,
-                    sim: split.sim,
-                });
+        for ((machine, runs), timing) in machines.iter().zip(runs).zip(timings) {
+            if runs.is_ok() {
+                log.push(timing);
+            }
+            for (suite, (index, picks)) in machine.served.iter().zip(&machine.picks) {
+                out[*index] = match &runs {
+                    Ok(runs) => Ok(runs.iter().map(|run| run.serve(picks)).collect()),
+                    Err(e) => Err(e.clone().for_suite(&suite.id())),
+                };
             }
         }
         out
@@ -656,6 +736,83 @@ mod tests {
                 assert_eq!(sr.activities, pr.activities);
             }
         }
+    }
+
+    /// The five suites `jetty-repro all` prefetches, in its order.
+    fn all_suites(scale: f64) -> Vec<RunOptions> {
+        let suite = |cpus: usize, nsb: bool| {
+            RunOptions::paper().with_scale(scale).with_cpus(cpus).with_non_subblocked(nsb)
+        };
+        vec![
+            suite(4, false),
+            suite(8, false),
+            suite(4, true),
+            crate::ablation::ij_skip_options(scale, false),
+            crate::ablation::hj_policy_options(scale, false),
+        ]
+    }
+
+    fn assert_same_runs(got: &[AppRun], want: &[AppRun], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            let app = w.profile.abbrev;
+            assert_eq!(g.profile.abbrev, app, "{what}");
+            assert_eq!((g.refs, g.footprint), (w.refs, w.footprint), "{what}: {app}");
+            assert_eq!(g.run, w.run, "{what}: {app}");
+            assert_eq!(g.reports.len(), w.reports.len(), "{what}: {app}");
+            for (gr, wr) in g.reports.iter().zip(&w.reports) {
+                let label = &wr.label;
+                assert_eq!(gr.label, wr.label, "{what}: {app}: bank order");
+                assert_eq!(gr.spec, wr.spec, "{what}: {app}");
+                assert_eq!((gr.probes, gr.filtered), (wr.probes, wr.filtered), "{label}");
+                assert_eq!(gr.would_miss, wr.would_miss, "{what}: {app}: {label}");
+                assert_eq!(gr.activities, wr.activities, "{what}: {app}: {label}");
+                assert_eq!(gr.arrays, wr.arrays, "{what}: {app}: {label}");
+                assert_eq!(gr.storage_bits, wr.storage_bits, "{what}: {app}: {label}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_prefetch_simulates_three_machines_and_serves_each_suite_alone() {
+        let engine = Engine::new(2);
+        let suites = all_suites(0.002);
+        let results = engine.run_suites(&suites);
+        let stats = engine.stats();
+        assert_eq!(stats.jobs_executed, 30, "3 machines x 10 applications, not 5 x 10");
+        assert_eq!(stats.suites_executed, 5, "every requested suite is served");
+        let timings = engine.take_timings();
+        let banks: Vec<usize> = timings.iter().map(|t| t.options.specs.len()).collect();
+        assert_eq!(banks, [27, 22, 22], "the 4-way union: paper bank + 4 IJ skips + eager HJ");
+        for (suite, result) in suites.iter().zip(results) {
+            let alone = Engine::new(1).run_suite_uncached(suite).unwrap();
+            assert_same_runs(&result.unwrap(), &alone, &suite.id());
+        }
+    }
+
+    #[test]
+    fn a_suite_with_repeated_specs_gets_one_report_per_spec() {
+        let spec = FilterSpec::include(6, 5, 6);
+        let repeated = quick(0.002).with_specs(vec![spec, FilterSpec::exclude(8, 2), spec]);
+        let engine = Engine::new(2);
+        let results = engine.run_suites(&[quick(0.002), repeated.clone()]);
+        assert_eq!(engine.stats().jobs_executed, 10);
+        let alone = Engine::new(1).run_suite_uncached(&repeated).unwrap();
+        assert_same_runs(results[1].as_ref().unwrap(), &alone, "repeated specs");
+    }
+
+    #[test]
+    fn a_failed_machine_fails_every_suite_it_serves_under_its_own_id() {
+        let engine = Engine::new(2).with_deadline(Some(Duration::ZERO));
+        let suites = [quick(0.002), quick(0.002).with_specs(vec![FilterSpec::include(8, 4, 7)])];
+        let results = engine.run_suites(&suites);
+        for (suite, result) in suites.iter().zip(results) {
+            let err = result.unwrap_err();
+            assert_eq!(err.suite(), Some(suite.id().as_str()), "{err}");
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.jobs_executed, stats.suites_failed), (10, 2));
+        assert!(engine.take_timings().is_empty(), "a failed machine records no timing");
     }
 
     #[test]

@@ -117,6 +117,19 @@ impl JettyError {
         }
     }
 
+    /// This error, addressed to suite `id` instead: a job that serves
+    /// several requested suites of one machine fails all of them, and
+    /// each is reported under its own id.
+    pub(crate) fn for_suite(mut self, id: &str) -> Self {
+        match &mut self {
+            Self::Simulation { suite, .. }
+            | Self::Deadline { suite, .. }
+            | Self::Cancelled { suite } => *suite = id.to_owned(),
+            Self::Store { .. } | Self::Config(_) => {}
+        }
+        self
+    }
+
     /// The human-readable detail *without* the suite id — the `error`
     /// column of the `failures` table, whose `suite` column already names
     /// the suite.

@@ -22,7 +22,10 @@
 //! | `store-write-err@frame<N>:<count>` | ... fails only the first `<count>` attempts, then succeeds (transient fault; exercises retry). |
 //!
 //! `<suite-id>` is a [`RunOptions::id`](crate::RunOptions::id) string such
-//! as `cpus8-scale0.02-sb-moesi-paperbank22`. An invalid spec list is
+//! as `cpus8-scale0.02-sb-moesi-paperbank22`, naming a requested suite.
+//! The engine runs the suites of one machine as shared jobs, so a suite
+//! fault applies to every job that serves the named suite, and fails
+//! every suite those jobs serve. An invalid spec list is
 //! ignored wholesale with a one-line stderr warning naming the bad value —
 //! a typo must not silently inject *some* of the faults.
 

@@ -42,10 +42,11 @@
 //!   through a pluggable [`results::render::Renderer`] (aligned text —
 //!   byte-identical to the historical output — JSON, or CSV);
 //! * suites are executed by the [`engine`]: a scoped-thread worker pool
-//!   over `(profile, options)` simulation jobs with a cache keyed by
-//!   [`RunOptions`], so independent suites run concurrently and no
-//!   identical suite is simulated twice. The [`sweep`] module expands a
-//!   declarative [`sweep::SweepGrid`] into those cache keys;
+//!   over `(profile, machine)` simulation jobs with a cache keyed by
+//!   [`RunOptions`], so independent suites run concurrently, suites of one
+//!   machine share its simulations, and no identical suite is simulated
+//!   twice. The [`sweep`] module expands a declarative
+//!   [`sweep::SweepGrid`] into those cache keys;
 //! * the [`store`] module persists finished result sets — an append-only,
 //!   checksummed, single-file run store keyed by git revision and
 //!   [`RunOptions::id`] — and [`store::diff`] compares any two recorded

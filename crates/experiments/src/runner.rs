@@ -21,9 +21,8 @@ use crate::fault;
 ///
 /// `RunOptions` doubles as the [`SuiteCache`](crate::engine::SuiteCache)
 /// key: equality and hashing cover every field that changes simulation
-/// output — `cpus`, the exact bit pattern of `scale`, `check`, the full
-/// filter bank (order included, since report order follows bank order),
-/// `non_subblocked`, and the coherence `protocol`.
+/// output — the simulated machine ([`RunOptions::machine`]) and the full
+/// filter bank (order included, since report order follows bank order).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Processors on the bus (4 for the base tables, 8 for §4.3.4).
@@ -161,6 +160,17 @@ impl RunOptions {
         )
     }
 
+    /// The machine this suite simulates (see [`MachineKey`]).
+    pub fn machine(&self) -> MachineKey {
+        MachineKey {
+            cpus: self.cpus,
+            scale_bits: self.scale.to_bits(),
+            check: self.check,
+            non_subblocked: self.non_subblocked,
+            protocol: self.protocol,
+        }
+    }
+
     fn system_config(&self) -> SystemConfig {
         let mut config = if self.non_subblocked {
             SystemConfig::paper_4way_nsb()
@@ -182,17 +192,25 @@ impl Default for RunOptions {
     }
 }
 
-// Manual key impls: `scale` is an `f64`, compared and hashed by bit
-// pattern. Identical bits mean an identical trace length; NaN scales are
-// rejected by `TraceGen` long before they could reach a cache.
+/// The simulated machine of a suite: every [`RunOptions`] field but the
+/// filter bank. Filters are bystanders, so suites with equal keys
+/// simulate the same reference streams through the same protocol
+/// behaviour; the [`Engine`] runs them as one simulation carrying the
+/// union of their banks. `scale` is keyed by bit pattern: identical bits
+/// mean an identical trace length, and NaN scales are rejected long
+/// before they could reach a key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct MachineKey {
+    cpus: usize,
+    scale_bits: u64,
+    check: bool,
+    non_subblocked: bool,
+    protocol: ProtocolKind,
+}
+
 impl PartialEq for RunOptions {
     fn eq(&self, other: &Self) -> bool {
-        self.cpus == other.cpus
-            && self.scale.to_bits() == other.scale.to_bits()
-            && self.check == other.check
-            && self.specs == other.specs
-            && self.non_subblocked == other.non_subblocked
-            && self.protocol == other.protocol
+        self.machine() == other.machine() && self.specs == other.specs
     }
 }
 
@@ -200,12 +218,8 @@ impl Eq for RunOptions {}
 
 impl Hash for RunOptions {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.cpus.hash(state);
-        self.scale.to_bits().hash(state);
-        self.check.hash(state);
+        self.machine().hash(state);
         self.specs.hash(state);
-        self.non_subblocked.hash(state);
-        self.protocol.hash(state);
     }
 }
 
@@ -230,6 +244,19 @@ impl AppRun {
         self.reports.iter().find(|r| r.label == label)
     }
 
+    /// This run as seen by a suite whose bank is `picks` of this run's
+    /// bank: the same application and statistics, with the reports at
+    /// those indices, in that order.
+    pub(crate) fn serve(&self, picks: &[usize]) -> AppRun {
+        AppRun {
+            profile: self.profile.clone(),
+            footprint: self.footprint,
+            refs: self.refs,
+            run: self.run.clone(),
+            reports: picks.iter().map(|&k| self.reports[k].clone()).collect(),
+        }
+    }
+
     /// Coverage of a configuration by label.
     ///
     /// # Panics
@@ -244,8 +271,9 @@ impl AppRun {
 
 /// Wall-clock attribution of one application run, split between the two
 /// streamed stages: trace generation (refilling the chunk buffer) and
-/// simulation (running each chunk through the system). Summed per suite
-/// into [`SuiteTiming`](crate::engine::SuiteTiming) for `--timings`.
+/// simulation (running each chunk through the system). Summed per
+/// simulated machine into [`SuiteTiming`](crate::engine::SuiteTiming) for
+/// `--timings`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AppTiming {
     /// Time spent generating trace chunks.
@@ -291,16 +319,29 @@ pub fn run_app_gated(
     options: &RunOptions,
     gate: &RunGate,
 ) -> Result<(AppRun, AppTiming), JettyError> {
+    run_app_serving(profile, options, std::slice::from_ref(options), gate)
+}
+
+/// [`run_app_gated`] for a job that serves several requested suites of
+/// one machine at once: `options` carries the union of their banks, and
+/// `served` lists the requested suites. A `suite-fail`, `suite-panic` or
+/// `slow-suite` fault aimed at any served suite applies to the whole job.
+pub(crate) fn run_app_serving(
+    profile: &AppProfile,
+    options: &RunOptions,
+    served: &[RunOptions],
+    gate: &RunGate,
+) -> Result<(AppRun, AppTiming), JettyError> {
     let faults = fault::active();
     let slow = if faults.is_active() {
-        let suite_id = options.id();
-        if faults.suite_fail(&suite_id) {
-            return Err(JettyError::simulation(suite_id, "injected fault: suite-fail"));
+        let ids: Vec<String> = served.iter().map(RunOptions::id).collect();
+        if let Some(id) = ids.iter().find(|id| faults.suite_fail(id)) {
+            return Err(JettyError::simulation(id.as_str(), "injected fault: suite-fail"));
         }
-        if faults.suite_panic(&suite_id) {
-            panic!("injected fault: suite-panic@{suite_id}");
+        if let Some(id) = ids.iter().find(|id| faults.suite_panic(id)) {
+            panic!("injected fault: suite-panic@{id}");
         }
-        faults.slow_suite(&suite_id)
+        ids.iter().find_map(|id| faults.slow_suite(id))
     } else {
         None
     };

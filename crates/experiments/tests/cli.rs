@@ -117,6 +117,21 @@ fn timings_flag_reports_on_stderr_and_leaves_stdout_untouched() {
 }
 
 #[test]
+fn all_simulates_each_machine_once_and_times_it_once() {
+    // `all` asks for five suites, but the base suite and both ablation
+    // banks share the 4-way machine: three machines run, ten jobs each,
+    // and --timings prints one line per machine, the 4-way one with the
+    // 27-filter union bank.
+    let out = repro(&["all", "--scale", "0.002", "--threads", "2", "--timings"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("[engine: 5 suites (30 jobs"), "{stderr}");
+    assert_eq!(stderr.matches("[timing] suite").count(), 3, "{stderr}");
+    let union = "[timing] suite cpus=4 scale=0.002 nsb=false check=false proto=MOESI bank=27:";
+    assert!(stderr.contains(union), "{stderr}");
+}
+
+#[test]
 fn help_documents_timings_flag() {
     let out = repro(&["--help"]);
     assert!(out.status.success());

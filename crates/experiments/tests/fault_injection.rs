@@ -18,6 +18,10 @@ const SCALE: &str = "0.002";
 const BASE_SUITE: &str = "cpus4-scale0.002-sb-moesi-paperbank22";
 /// The cache key of the 8-way summary suite `all` also runs.
 const SMP8_SUITE: &str = "cpus8-scale0.002-sb-moesi-paperbank22";
+/// The cache keys of the two ablation suites `all` runs. They share the
+/// base suite's machine, so all three are one simulation per application.
+const IJ_SKIP_SUITE: &str = "cpus4-scale0.002-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8";
+const HJ_POLICY_SUITE: &str = "cpus4-scale0.002-sb-moesi-hj-ij9x4x7-ej32x4+hj-ij9x4x7-ej32x4-eager";
 
 fn repro(fault: Option<&str>, args: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_jetty-repro"));
@@ -148,9 +152,35 @@ fn an_expired_deadline_fails_the_slow_suite_only() {
     assert!(text.contains("500 ms job deadline"), "{text}");
     // The base suite feeds table2..fig6; all of those are skipped.
     assert!(!text.contains("Table 2"), "{text}");
+    // The ablation suites share the base suite's machine, so its slowed
+    // jobs are theirs too: both fail under their own ids and their tables
+    // are skipped.
+    for suite in [BASE_SUITE, IJ_SKIP_SUITE, HJ_POLICY_SUITE] {
+        assert!(text.contains(suite), "{suite} missing from the failures table: {text}");
+    }
+    assert!(!text.contains("Ablation: IJ index overlap"), "{text}");
+    assert!(!text.contains("Ablation: HJ EJ-allocation policy"), "{text}");
     // Static exhibits and the independent 8-way suite survive.
     assert!(text.contains("Table 1"), "{text}");
     assert!(text.contains("8-way SMP summary"), "{text}");
+}
+
+#[test]
+fn a_fault_on_an_ablation_suite_fails_the_machine_it_shares() {
+    // The ij-skip ablation runs inside the base suite's jobs, so a fault
+    // aimed at it fails the base suite and the other ablation as well;
+    // the 8-way and non-subblocked suites run on machines of their own.
+    let fault = format!("suite-fail@{IJ_SKIP_SUITE}");
+    let out = repro(Some(&fault), &["all", "--scale", SCALE, "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    for suite in [BASE_SUITE, IJ_SKIP_SUITE, HJ_POLICY_SUITE] {
+        assert!(text.contains(suite), "{suite} missing from the failures table: {text}");
+    }
+    assert!(text.contains("injected fault: suite-fail"), "{text}");
+    assert!(!text.contains("Table 2"), "{text}");
+    assert!(text.contains("8-way SMP summary"), "{text}");
+    assert!(text.contains("Non-subblocked L2"), "{text}");
 }
 
 #[test]

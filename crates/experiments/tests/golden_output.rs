@@ -19,6 +19,11 @@
 //! cargo run --release --bin jetty-repro -- protocols --scale 0.02 --threads 2 \
 //!     > tests/golden/protocols_scale002.txt
 //! ```
+//!
+//! The fidelity golden `tests/golden/calibrate_scale1.txt` (the
+//! calibration exhibit at full trace length, a few seconds in release) is
+//! diffed by `scripts/ci.sh` and CI only; it is recorded the same way
+//! with `calibrate --scale 1.0 --threads 2`.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -40,7 +40,9 @@
 //! filters built from the same [`FilterSpec`] list; one simulation yields
 //! coverage and energy-activity numbers for every configuration at once,
 //! over an identical reference stream — mirroring the paper's methodology
-//! of evaluating all organisations on the same traces.
+//! of evaluating all organisations on the same traces. The bank is a
+//! [`FilterBank`], which replays each distinct Include-Jetty once per
+//! chunk and feeds it to every hybrid built on it.
 //!
 //! # Safety checking
 //!
@@ -63,7 +65,7 @@ mod node;
 
 use std::collections::HashMap;
 
-use jetty_core::{AddrSpace, FilterSpec, SnoopFilter};
+use jetty_core::{AddrSpace, FilterBank, FilterSpec};
 
 use crate::bus::BusKind;
 use crate::config::SystemConfig;
@@ -187,7 +189,7 @@ impl System {
                 l1: L1Cache::new(config.l1),
                 l2: L2Cache::new(config.l2),
                 wb: WritebackBuffer::new(config.wb_entries),
-                filters: specs.iter().map(|s| s.build(space)).collect(),
+                bank: FilterBank::new(specs, space),
                 stats: NodeStats::default(),
                 events: Vec::new(),
             })
@@ -262,7 +264,7 @@ impl System {
     /// each one receives — so during the chunk the snoop path logs compact
     /// per-node [`jetty_core::FilterEvent`]s, and the end-of-chunk flush
     /// replays each node's list through each filter in turn
-    /// ([`SnoopFilter::apply_batch`]). One filter's arrays stay
+    /// ([`FilterBank::apply_batch`]). One filter's arrays stay
     /// cache-resident across thousands of events instead of the whole bank
     /// thrashing per snoop, and chunk boundaries change nothing — same
     /// order, same states, same activity counters.
@@ -302,18 +304,17 @@ impl System {
 
     /// Replays every node's deferred filter events through its bank,
     /// filter-major, and clears the logs, checking `gate` once per node:
-    /// the `AnyFilter` variant dispatch is hoisted outside the event loop
-    /// and each filter's probe/filtered counters are accumulated in
-    /// registers and charged once per batch.
+    /// the variant dispatch is hoisted outside the event loop, each
+    /// distinct Include-Jetty replays once ([`FilterBank`]), and each
+    /// filter's probe/filtered counters are accumulated in registers and
+    /// charged once per batch.
     fn flush_filter_events(&mut self, gate: &crate::RunGate) -> Result<(), crate::GateStop> {
         for (cpu, node) in self.nodes.iter_mut().enumerate() {
             gate.check()?;
             if node.events.is_empty() {
                 continue;
             }
-            for f in &mut node.filters {
-                f.apply_batch(&node.events, cpu);
-            }
+            node.bank.apply_batch(&node.events, cpu);
             node.events.clear();
         }
         Ok(())
@@ -375,12 +376,11 @@ impl System {
             .iter()
             .enumerate()
             .map(|(k, spec)| {
-                let activities: Vec<_> =
-                    self.nodes.iter().map(|n| n.filters[k].activity()).collect();
+                let activities: Vec<_> = self.nodes.iter().map(|n| n.bank.activity(k)).collect();
                 let probes = activities.iter().map(|a| a.probes).sum();
                 let filtered = activities.iter().map(|a| a.filtered).sum();
-                let arrays = self.nodes[0].filters[k].arrays();
-                let storage_bits = self.nodes[0].filters[k].storage_bits();
+                let arrays = self.nodes[0].bank.arrays(k);
+                let storage_bits = arrays.iter().map(jetty_core::ArraySpec::storage_bits).sum();
                 FilterReport {
                     spec: *spec,
                     label: spec.label(),

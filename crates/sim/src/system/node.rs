@@ -2,7 +2,7 @@
 //! helpers. Everything that needs cross-node or bus context lives in
 //! [`local`](super::local) and [`bus`](super::bus) instead.
 
-use jetty_core::{AnyFilter, FilterEvent, UnitAddr};
+use jetty_core::{FilterBank, FilterEvent, UnitAddr};
 
 use crate::l1::L1Cache;
 use crate::l2::L2Cache;
@@ -11,14 +11,14 @@ use crate::wb::{WbEntry, WritebackBuffer};
 
 /// One SMP node.
 ///
-/// The filter bank is stored as concrete [`AnyFilter`] values — one
-/// contiguous allocation, statically dispatched replays — because every
-/// chunk flush walks the whole bank (see `jetty_core::AnyFilter`).
+/// The filter bank is a [`FilterBank`]: concrete, statically dispatched
+/// filters, planned so that each distinct Include-Jetty replays once per
+/// chunk flush (see `jetty_core::FilterBank`).
 pub(super) struct Node {
     pub(super) l1: L1Cache,
     pub(super) l2: L2Cache,
     pub(super) wb: WritebackBuffer,
-    pub(super) filters: Vec<AnyFilter>,
+    pub(super) bank: FilterBank,
     pub(super) stats: NodeStats,
     /// Filter notifications logged since the last flush: the protocol
     /// path logs one compact event per notification here instead of
@@ -36,7 +36,7 @@ impl Node {
     /// empty bank logs nothing: no filter would replay it.
     #[inline]
     pub(super) fn log(&mut self, event: FilterEvent) {
-        if !self.filters.is_empty() {
+        if !self.bank.is_empty() {
             self.events.push(event);
         }
     }

@@ -152,6 +152,73 @@ fn assert_batched_matches_scalar(
     batched.verify_filter_consistency();
 }
 
+/// A bank of `hybrids` backup hybrids on one IJ (`ij` picks IJ-6x5x6 or
+/// IJ-8x4x7), their exclude halves taken cyclically from a fixed list
+/// starting at `first`. `standalone` puts a standalone IJ of the same
+/// configuration nowhere (0), before the hybrids (1) or after them (2);
+/// `eager` adds the first hybrid's eager twin right after it. An EJ leads
+/// the bank so the shared lane is not the first member.
+fn shared_ij_bank(
+    ij: usize,
+    hybrids: usize,
+    first: usize,
+    standalone: usize,
+    eager: bool,
+) -> Vec<FilterSpec> {
+    let (e, n, s) = [(6, 5, 6), (8, 4, 7)][ij];
+    let halves = [(8, 2, None), (4, 1, None), (8, 2, Some(4)), (16, 2, None)];
+    let mut bank = vec![FilterSpec::exclude(8, 2)];
+    if standalone == 1 {
+        bank.push(FilterSpec::include(e, n, s));
+    }
+    for k in 0..hybrids {
+        let (sets, ways, vector) = halves[(first + k) % halves.len()];
+        bank.push(match vector {
+            Some(v) => FilterSpec::hybrid_vector(e, n, s, sets, ways, v),
+            None => FilterSpec::hybrid_scalar(e, n, s, sets, ways),
+        });
+        if eager && k == 0 {
+            bank.push(match vector {
+                Some(_) => FilterSpec::hybrid_scalar_eager(e, n, s, 8, 2),
+                None => FilterSpec::hybrid_scalar_eager(e, n, s, sets, ways),
+            });
+        }
+    }
+    if standalone == 2 {
+        bank.push(FilterSpec::include(e, n, s));
+    }
+    bank
+}
+
+/// Asserts that every report of a batched run with `specs` equals the
+/// report of the same spec simulated alone, in its own system, over the
+/// same chunks.
+fn assert_each_spec_matches_its_own_system(
+    refs: &[MemRef],
+    chunk_len: usize,
+    protocol: ProtocolKind,
+    specs: &[FilterSpec],
+) {
+    let run = |specs: &[FilterSpec]| {
+        let mut system = System::new(tiny_config(4, protocol), specs);
+        for chunk in refs.chunks(chunk_len) {
+            system.run_chunk(chunk);
+        }
+        system.filter_reports()
+    };
+    for (report, spec) in run(specs).iter().zip(specs) {
+        let alone = run(std::slice::from_ref(spec)).remove(0);
+        let label = &report.label;
+        assert_eq!(report.label, alone.label);
+        assert_eq!(report.probes, alone.probes, "{protocol}: {label}: probes vs alone");
+        assert_eq!(report.filtered, alone.filtered, "{protocol}: {label}: filtered vs alone");
+        assert_eq!(report.would_miss, alone.would_miss, "{protocol}: {label}: would-miss");
+        assert_eq!(report.activities, alone.activities, "{protocol}: {label}: activity");
+        assert_eq!(report.arrays, alone.arrays, "{protocol}: {label}: arrays");
+        assert_eq!(report.storage_bits, alone.storage_bits, "{protocol}: {label}: storage");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -202,6 +269,26 @@ proptest! {
                 64,
             );
         }
+    }
+
+    /// Banks whose backup hybrids share one IJ configuration — so the
+    /// bank replays that IJ once per node per chunk and feeds every
+    /// hybrid's exclude half from it — with and without a standalone IJ
+    /// of the same configuration, placed before or after the hybrids,
+    /// and optionally an eager hybrid (which keeps its own IJ) right
+    /// after its backup twin. Every report must match the naive models
+    /// and equal the same spec simulated alone in its own system.
+    #[test]
+    fn shared_ij_lanes_equal_filters_simulated_alone(
+        refs in prop::collection::vec(ref_strategy(4, 512), 1..300),
+        chunk_len in 1usize..64,
+        (ij, hybrids, first) in (0usize..2, 2usize..5, 0usize..4),
+        (standalone, eager) in (0usize..3, any::<bool>()),
+    ) {
+        let bank = shared_ij_bank(ij, hybrids, first, standalone, eager);
+        let protocol = ProtocolKind::ALL[chunk_len % ProtocolKind::ALL.len()];
+        assert_batched_matches_scalar(&refs, chunk_len, protocol, &bank, 512);
+        assert_each_spec_matches_its_own_system(&refs, chunk_len, protocol, &bank);
     }
 
     /// An empty filter bank logs no events at all; the protocol path must

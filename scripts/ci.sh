@@ -25,6 +25,12 @@ target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/a
 echo "==> golden output: jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
 target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
 
+# The fidelity golden: the calibration exhibit (measured vs paper) at
+# full trace length. A generator or substrate change that moves the
+# reproduction's numbers fails here; re-record it only with a reason.
+echo "==> fidelity golden: jetty-repro calibrate --scale 1.0 --threads 2 vs tests/golden/calibrate_scale1.txt"
+target/release/jetty-repro calibrate --scale 1.0 --threads 2 | diff -u tests/golden/calibrate_scale1.txt -
+
 # --check adds the protocol checkers; filter events still replay per
 # chunk, so a checked run must print the same tables.
 echo "==> golden output (checked): jetty-repro all --scale 0.02 --threads 2 --check vs tests/golden/all_scale002.txt"
